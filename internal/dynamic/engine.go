@@ -157,11 +157,6 @@ const (
 // installed path so the first deflections prepend in place.
 const pathHeadroom = 8
 
-// maxPathCntEntries caps the per-destination path-count arena (int64
-// entries, so 32 MB): beyond it, path draws recount per draw instead
-// of indexing precomputed tables.
-const maxPathCntEntries = 1 << 22
-
 // foldDigest folds one 64-bit word into the FNV-1a running digest.
 func foldDigest(h, x uint64) uint64 {
 	for i := 0; i < 8; i++ {
@@ -231,7 +226,7 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	// depends only on the destination — recomputing it per draw (an
 	// O(V+E) counting pass) dominated the injection phase. Precompute
 	// one row per eligible destination, carved from a single arena,
-	// unless the arena would exceed maxPathCntEntries (then drawPath
+	// unless the arena would exceed paths.MaxCountEntries (then drawPath
 	// falls back to the per-draw counting sampler).
 	eligibleDst := make([]bool, nn)
 	rows := 0
@@ -244,7 +239,7 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 		}
 	}
 	e.pathCnt = make([][]int64, nn)
-	if entries := rows * nn; entries > 0 && entries <= maxPathCntEntries {
+	if entries := rows * nn; entries > 0 && entries <= paths.MaxCountEntries {
 		arena := make([]int64, entries)
 		row := 0
 		for d, ok := range eligibleDst {

@@ -11,7 +11,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NodeID identifies a node within a Leveled network. IDs are dense:
@@ -292,7 +292,8 @@ func (g *Leveled) Validate() error {
 	if len(g.levels) != g.depth+1 {
 		return fmt.Errorf("graph: have %d level slices, want %d", len(g.levels), g.depth+1)
 	}
-	seen := make(map[NodeID]bool, len(g.nodes))
+	seen := make([]bool, len(g.nodes))
+	placed := 0
 	for l, lv := range g.levels {
 		for _, id := range lv {
 			if int(id) < 0 || int(id) >= len(g.nodes) {
@@ -305,10 +306,11 @@ func (g *Leveled) Validate() error {
 				return fmt.Errorf("graph: node %d appears in more than one level", id)
 			}
 			seen[id] = true
+			placed++
 		}
 	}
-	if len(seen) != len(g.nodes) {
-		return fmt.Errorf("graph: %d nodes placed in levels, want %d", len(seen), len(g.nodes))
+	if placed != len(g.nodes) {
+		return fmt.Errorf("graph: %d nodes placed in levels, want %d", placed, len(g.nodes))
 	}
 	for i := range g.edges {
 		e := &g.edges[i]
@@ -356,7 +358,9 @@ func containsEdge(list []EdgeID, e EdgeID) bool {
 	return false
 }
 
-// Builder incrementally constructs a Leveled network.
+// Builder incrementally constructs a Leveled network. Edges are only
+// recorded as they are added; Build derives every node's Up and Down
+// lists in one counting pass over them.
 type Builder struct {
 	name  string
 	nodes []Node
@@ -368,6 +372,13 @@ type Builder struct {
 // NewBuilder returns a Builder for a network with the given name.
 func NewBuilder(name string) *Builder {
 	return &Builder{name: name, depth: -1}
+}
+
+// Grow reserves room for nodes more nodes and edges more edges, so a
+// generator that knows its size appends without reallocating.
+func (b *Builder) Grow(nodes, edges int) {
+	b.nodes = slices.Grow(b.nodes, nodes)
+	b.edges = slices.Grow(b.edges, edges)
 }
 
 // AddNode adds a node at the given level and returns its ID.
@@ -407,8 +418,6 @@ func (b *Builder) AddEdge(u, w NodeID) EdgeID {
 	}
 	id := EdgeID(len(b.edges))
 	b.edges = append(b.edges, Edge{ID: id, From: u, To: w})
-	b.nodes[u].Up = append(b.nodes[u].Up, id)
-	b.nodes[w].Down = append(b.nodes[w].Down, id)
 	return id
 }
 
@@ -439,16 +448,26 @@ func (b *Builder) Build() (*Leveled, error) {
 		depth: b.depth,
 	}
 	g.levels = make([][]NodeID, b.depth+1)
+	width := make([]int, b.depth+1)
+	for i := range g.nodes {
+		width[g.nodes[i].Level]++
+	}
+	// Levels are filled in ID order, so each comes out sorted; all of
+	// them share one backing array, each capped at its own length.
+	levelIDs := make([]NodeID, len(g.nodes))
+	off := 0
+	for l, n := range width {
+		if n == 0 {
+			return nil, fmt.Errorf("graph: level %d of %q has no nodes", l, b.name)
+		}
+		g.levels[l] = levelIDs[off : off : off+n]
+		off += n
+	}
 	for i := range g.nodes {
 		l := g.nodes[i].Level
 		g.levels[l] = append(g.levels[l], g.nodes[i].ID)
 	}
-	for l, lv := range g.levels {
-		if len(lv) == 0 {
-			return nil, fmt.Errorf("graph: level %d of %q has no nodes", l, b.name)
-		}
-		sort.Slice(lv, func(i, j int) bool { return lv[i] < lv[j] })
-	}
+	buildAdjacency(g.nodes, g.edges)
 	// Derive the flat hot-path mirrors (see the Leveled doc comment).
 	g.ends = make([][2]NodeID, len(g.edges))
 	for i := range g.edges {
@@ -462,6 +481,38 @@ func (b *Builder) Build() (*Leveled, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// buildAdjacency sets every node's Up and Down lists to its incident
+// edges in edge-ID order. All lists are carved from one backing array
+// with cap == len, so appending to one never overwrites another; a node
+// without edges in a direction keeps a nil list.
+func buildAdjacency(nodes []Node, edges []Edge) {
+	up := make([]int, len(nodes))
+	down := make([]int, len(nodes))
+	for i := range edges {
+		up[edges[i].From]++
+		down[edges[i].To]++
+	}
+	adj := make([]EdgeID, 2*len(edges))
+	off := 0
+	carve := func(n int) []EdgeID {
+		if n == 0 {
+			return nil
+		}
+		s := adj[off : off : off+n]
+		off += n
+		return s
+	}
+	for i := range nodes {
+		nodes[i].Up = carve(up[i])
+		nodes[i].Down = carve(down[i])
+	}
+	for i := range edges {
+		e := &edges[i]
+		nodes[e.From].Up = append(nodes[e.From].Up, e.ID)
+		nodes[e.To].Down = append(nodes[e.To].Down, e.ID)
+	}
 }
 
 // MustBuild is Build that panics on error; for use in tests and

@@ -106,13 +106,14 @@ func (s *PathSet) Destinations() []graph.NodeID {
 // CheckOnePacketPerSource verifies the paper's many-to-one problem
 // restriction: each node is the source of at most one packet.
 func (s *PathSet) CheckOnePacketPerSource() error {
-	seen := make(map[graph.NodeID]int)
+	// first[v] is 1 + the index of the first packet sourced at v, or 0.
+	first := make([]int, s.G.NumNodes())
 	for i, p := range s.Paths {
 		src := s.G.PathSource(p)
-		if j, dup := seen[src]; dup {
-			return fmt.Errorf("paths: node %d is the source of packets %d and %d", src, j, i)
+		if j := first[src]; j != 0 {
+			return fmt.Errorf("paths: node %d is the source of packets %d and %d", src, j-1, i)
 		}
-		seen[src] = i
+		first[src] = i + 1
 	}
 	return nil
 }
@@ -189,6 +190,47 @@ func CountsTo(g *graph.Leveled, dst graph.NodeID, cnt []int64) []int64 {
 		}
 	}
 	return cnt
+}
+
+// MaxCountEntries bounds the CountsTo tables one consumer keeps at once
+// (int64 entries, so 32 MB): batch path selection (countCache) and the
+// open-system engine's per-destination arena both stop caching past it
+// and recount per draw instead.
+const MaxCountEntries = 1 << 22
+
+// countCache memoizes CountsTo tables by destination for one batch of
+// path draws. A table is a pure function of its destination, so any
+// caching policy yields the same paths; this one keeps tables while
+// their total size stays within MaxCountEntries and recounts later
+// destinations into one reused scratch table.
+//
+// Not safe for concurrent use.
+type countCache struct {
+	g       *graph.Leveled
+	tables  map[graph.NodeID][]int64
+	kept    int
+	scratch []int64
+}
+
+func newCountCache(g *graph.Leveled) *countCache {
+	return &countCache{g: g, tables: make(map[graph.NodeID][]int64)}
+}
+
+// countsTo returns the CountsTo(g, dst) table. A scratch table is only
+// valid until the next call.
+func (c *countCache) countsTo(dst graph.NodeID) []int64 {
+	if t, ok := c.tables[dst]; ok {
+		return t
+	}
+	nn := c.g.NumNodes()
+	if c.kept+nn > MaxCountEntries {
+		c.scratch = CountsTo(c.g, dst, c.scratch)
+		return c.scratch
+	}
+	t := CountsTo(c.g, dst, nil)
+	c.tables[dst] = t
+	c.kept += nn
+	return t
 }
 
 // AppendPathCounted is AppendPath given a precomputed CountsTo(g, dst)
@@ -272,11 +314,16 @@ func GreedyMinCongestionPath(g *graph.Leveled, rng *rand.Rand, loads []int, src,
 }
 
 // SelectRandom builds a PathSet with one random forward path per
-// (src, dst) request.
+// (src, dst) request. Paths and RNG consumption are identical to calling
+// RandomForwardPath per request, but each destination's path-count table
+// is computed once per call (see countCache), so the cost scales with
+// distinct destinations rather than packets.
 func SelectRandom(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, error) {
 	ps := make([]graph.Path, len(reqs))
+	cc := newCountCache(g)
 	for i, r := range reqs {
-		p, err := RandomForwardPath(g, rng, r.Src, r.Dst)
+		buf := make(graph.Path, 0, max(g.LevelOf(r.Dst)-g.LevelOf(r.Src), 0))
+		p, err := AppendPathCounted(g, rng, r.Src, r.Dst, cc.countsTo(r.Dst), buf)
 		if err != nil {
 			return nil, fmt.Errorf("paths: request %d: %w", i, err)
 		}
@@ -306,9 +353,11 @@ func SelectMinCongestion(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*Pat
 // from the nodes at the middle level between src and dst that are
 // forward-reachable from src and forward-reach dst. Randomizing the
 // middle spreads structured (adversarial) workloads, trading a little
-// dilation for much lower worst-case congestion.
+// dilation for much lower worst-case congestion. Both legs draw through
+// one per-call countCache, exactly as SelectRandom does.
 func SelectValiant(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, error) {
 	ps := make([]graph.Path, len(reqs))
+	cc := newCountCache(g)
 	for i, r := range reqs {
 		ls, ld := g.Node(r.Src).Level, g.Node(r.Dst).Level
 		if ld <= ls {
@@ -316,10 +365,12 @@ func SelectValiant(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, 
 		}
 		midLevel := (ls + ld) / 2
 		fromSrc := g.ForwardReachableFrom(r.Src)
-		toDst := g.Reachable(r.Dst)
+		// A node forward-reaches dst iff its path count to dst is
+		// positive; the table is read before any draw can recycle it.
+		toDst := cc.countsTo(r.Dst)
 		var mids []graph.NodeID
 		for _, v := range g.Level(midLevel) {
-			if fromSrc[v] && toDst[v] {
+			if fromSrc[v] && toDst[v] > 0 {
 				mids = append(mids, v)
 			}
 		}
@@ -327,20 +378,17 @@ func SelectValiant(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, 
 			return nil, fmt.Errorf("paths: request %d: no usable intermediate at level %d", i, midLevel)
 		}
 		mid := mids[rng.Intn(len(mids))]
-		var p graph.Path
+		p := make(graph.Path, 0, ld-ls)
+		var err error
 		if mid != r.Src {
-			p1, err := RandomForwardPath(g, rng, r.Src, mid)
-			if err != nil {
+			if p, err = AppendPathCounted(g, rng, r.Src, mid, cc.countsTo(mid), p); err != nil {
 				return nil, fmt.Errorf("paths: request %d: %w", i, err)
 			}
-			p = append(p, p1...)
 		}
 		if mid != r.Dst {
-			p2, err := RandomForwardPath(g, rng, mid, r.Dst)
-			if err != nil {
+			if p, err = AppendPathCounted(g, rng, mid, r.Dst, cc.countsTo(r.Dst), p); err != nil {
 				return nil, fmt.Errorf("paths: request %d: %w", i, err)
 			}
-			p = append(p, p2...)
 		}
 		ps[i] = p
 	}

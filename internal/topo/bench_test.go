@@ -6,6 +6,7 @@ import (
 )
 
 func BenchmarkButterfly(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Butterfly(8); err != nil {
 			b.Fatal(err)

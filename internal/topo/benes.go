@@ -20,13 +20,8 @@ func Benes(k int) (*graph.Leveled, error) {
 	}
 	rows := 1 << k
 	b := graph.NewBuilder(fmt.Sprintf("benes(%d)", k))
-	ids := make([][]graph.NodeID, 2*k+1)
-	for l := 0; l <= 2*k; l++ {
-		ids[l] = make([]graph.NodeID, rows)
-		for w := 0; w < rows; w++ {
-			ids[l][w] = b.AddNode(l, fmt.Sprintf("w%0*b.l%d", k, w, l))
-		}
-	}
+	b.Grow(rows*(2*k+1), 4*rows*k)
+	ids := addRowNodes(b, k, 2*k)
 	// First half: butterfly flipping bit k-1-l at level l (MSB first).
 	for l := 0; l < k; l++ {
 		bit := 1 << (k - 1 - l)

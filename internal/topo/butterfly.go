@@ -2,6 +2,8 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"hotpotato/internal/graph"
 )
@@ -20,13 +22,8 @@ func Butterfly(k int) (*graph.Leveled, error) {
 	}
 	rows := 1 << k
 	b := graph.NewBuilder(fmt.Sprintf("butterfly(%d)", k))
-	ids := make([][]graph.NodeID, k+1)
-	for l := 0; l <= k; l++ {
-		ids[l] = make([]graph.NodeID, rows)
-		for w := 0; w < rows; w++ {
-			ids[l][w] = b.AddNode(l, fmt.Sprintf("w%0*b.l%d", k, w, l))
-		}
-	}
+	b.Grow(rows*(k+1), 2*rows*k)
+	ids := addRowNodes(b, k, k)
 	for l := 0; l < k; l++ {
 		bit := 1 << (k - 1 - l)
 		for w := 0; w < rows; w++ {
@@ -35,6 +32,43 @@ func Butterfly(k int) (*graph.Leveled, error) {
 		}
 	}
 	return b.Build()
+}
+
+// addRowNodes adds levels 0..depth of 2^k rows each to b, level-major
+// (row w at level l gets ID l*2^k+w), labels them "w<k-bit row>.l<level>"
+// and returns their IDs indexed [level][row]. Every label is a slice of
+// one string, so labelling costs one allocation rather than one per node.
+func addRowNodes(b *graph.Builder, k, depth int) [][]graph.NodeID {
+	rows := 1 << k
+	labelLen := func(l int) int { return len("w.l") + k + len(strconv.Itoa(l)) }
+	size := 0
+	for l := 0; l <= depth; l++ {
+		size += rows * labelLen(l)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for l := 0; l <= depth; l++ {
+		for w := 0; w < rows; w++ {
+			sb.WriteByte('w')
+			for bit := k - 1; bit >= 0; bit-- {
+				sb.WriteByte('0' + byte(w>>bit&1))
+			}
+			sb.WriteString(".l")
+			sb.WriteString(strconv.Itoa(l))
+		}
+	}
+	all := sb.String()
+	ids := make([][]graph.NodeID, depth+1)
+	start := 0
+	for l := range ids {
+		n := labelLen(l)
+		ids[l] = make([]graph.NodeID, rows)
+		for w := range ids[l] {
+			ids[l][w] = b.AddNode(l, all[start:start+n])
+			start += n
+		}
+	}
+	return ids
 }
 
 // ButterflyNode returns the NodeID of row w at level l in a butterfly

@@ -21,13 +21,8 @@ func Omega(k int) (*graph.Leveled, error) {
 	}
 	rows := 1 << k
 	b := graph.NewBuilder(fmt.Sprintf("omega(%d)", k))
-	ids := make([][]graph.NodeID, k+1)
-	for l := 0; l <= k; l++ {
-		ids[l] = make([]graph.NodeID, rows)
-		for w := 0; w < rows; w++ {
-			ids[l][w] = b.AddNode(l, fmt.Sprintf("w%0*b.l%d", k, w, l))
-		}
-	}
+	b.Grow(rows*(k+1), 2*rows*k)
+	ids := addRowNodes(b, k, k)
 	for l := 0; l < k; l++ {
 		for w := 0; w < rows; w++ {
 			s := shuffle(w, k)

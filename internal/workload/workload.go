@@ -131,13 +131,14 @@ func HotSpot(g *graph.Leveled, rng *rand.Rand, count, spots int) (*Problem, erro
 	}
 	order := rng.Perm(len(cands))
 	reqs := make([]paths.Request, 0, count)
+	ok := make([]graph.NodeID, 0, spots)
 	for _, ci := range order {
 		if len(reqs) == count {
 			break
 		}
 		src := cands[ci]
 		// Pick a random reachable spot for this source.
-		var ok []graph.NodeID
+		ok = ok[:0]
 		for i, s := range spotIDs {
 			if reach[i][src] {
 				ok = append(ok, s)
