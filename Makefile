@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadProblem -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReadNetwork -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzLevelize -fuzztime 30s ./internal/topo/
+	$(GO) test -fuzz FuzzBatchRequest -fuzztime 30s ./internal/service/
 
 clean:
 	rm -rf figs

@@ -3,7 +3,6 @@ package dynamic
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"hotpotato/internal/graph"
 	"hotpotato/internal/paths"
@@ -96,7 +95,7 @@ type Engine struct {
 	atOff    []int32 // node -> arena offset (prefix sums of degree), len N+1
 	atN      []int32 // node -> current occupancy
 	atList   []int32 // the arena
-	occupied []int32 // nodes with atN > 0; rebuilt each commit
+	occupied []int32 // nodes with atN > 0, in first-park order; rebuilt each commit
 
 	// Per-transmission-slot scratch (slot si = edge<<1 | direction),
 	// epoch-stamped so steps never clear it: a stamp != epoch means
@@ -791,10 +790,14 @@ func (e *Engine) Step() error {
 		e.grantSlot[w] = si
 	}
 
-	// Deflect losers per node, in node-ID order (determinism): arrival
-	// reversal first, then safe-backward (an edge that carried a
-	// forward move last step), then any backward, then any forward.
-	slices.Sort(e.occupied)
+	// Deflect losers per node: arrival reversal first, then
+	// safe-backward (an edge that carried a forward move last step), then
+	// any backward, then any forward. Nodes are visited in occupied's
+	// first-park order, unsorted: every slot a loser at v can claim
+	// leaves v, so slots are partitioned by node, and the pass draws no
+	// randomness. The visiting order therefore cannot change a grant,
+	// deflection, stall, RNG draw, digest or snapshot byte; only which
+	// node the "over capacity" invariant error names may differ.
 	for _, vi := range e.occupied {
 		v := graph.NodeID(vi)
 		lst := e.atList[e.atOff[v] : e.atOff[v]+e.atN[v]]

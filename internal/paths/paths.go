@@ -249,16 +249,18 @@ func AppendPathCounted(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, 
 	}
 	cur := src
 	for cur != dst {
+		up := g.Node(cur).Up
 		var total int64
-		for _, e := range g.Node(cur).Up {
-			total += cnt[g.Edge(e).To]
+		for _, e := range up {
+			total += cnt[g.EndpointAt(e, graph.Forward)]
 		}
 		pick := rng.Int63n(total)
-		for _, e := range g.Node(cur).Up {
-			c := cnt[g.Edge(e).To]
+		for _, e := range up {
+			next := g.EndpointAt(e, graph.Forward)
+			c := cnt[next]
 			if pick < c {
 				buf = append(buf, e)
-				cur = g.Edge(e).To
+				cur = next
 				break
 			}
 			pick -= c

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 )
 
@@ -75,9 +76,9 @@ func (s *Service) Handler() http.Handler {
 }
 
 // Vars returns the service's expvar view: a map of topology name to
-// TopologyStats, computed on demand (each read runs on the topology
-// loops, so it is always current and race-free). All floats inside are
-// finite by construction, which /debug/vars requires.
+// TopologyStats, computed on demand (each read runs under the
+// topology's engine token, so it is always current and race-free). All
+// floats inside are finite by construction, which /debug/vars requires.
 func (s *Service) Vars() expvar.Var {
 	return expvar.Func(func() any {
 		out := make(map[string]TopologyStats)
@@ -100,10 +101,18 @@ func (s *Service) Publish(name string) {
 
 const maxBodyBytes = 8 << 20
 
+// decodeJSON reads exactly one JSON value (and trailing whitespace)
+// from the body into v, answering 400 on any failure.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tokErr := dec.Token(); tokErr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return err
 	}

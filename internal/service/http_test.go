@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -101,7 +103,8 @@ func TestHTTPAPI(t *testing.T) {
 	}
 
 	// Error mapping: 404 unknown topology, 403 unknown tenant, 400 bad
-	// JSON and bad advance.
+	// JSON (trailing data included) and bad advance; trailing whitespace
+	// is fine.
 	errCases := []struct {
 		url  string
 		body string
@@ -112,9 +115,20 @@ func TestHTTPAPI(t *testing.T) {
 		{"/v1/topologies/bfly/batches", `{not json`, http.StatusBadRequest},
 		{"/v1/topologies/bfly/batches", `{"tenant":"gold"}`, http.StatusBadRequest},
 		{"/v1/topologies/bfly/batches", `{"tenant":"gold","surprise":1}`, http.StatusBadRequest},
+		{"/v1/topologies/bfly/batches", `{"tenant":"gold","random":1}{"tenant":"gold","random":9}`, http.StatusBadRequest},
+		{"/v1/topologies/bfly/batches", `{"tenant":"gold","random":1} x`, http.StatusBadRequest},
 		{"/v1/topologies/bfly/advance", `{"steps":0}`, http.StatusBadRequest},
+		{"/v1/topologies/bfly/advance", `{"steps":1}{"steps":99}`, http.StatusBadRequest},
+		{"/v1/topologies/bfly/advance", `{"steps":1}]`, http.StatusBadRequest},
+		{"/v1/topologies/bfly/advance", "{\"steps\":1}\n\t ", http.StatusOK},
 		{"/v1/topologies/ghost/advance", `{"steps":5}`, http.StatusNotFound},
 	}
+	get, err = http.Get(srv.URL + "/v1/topologies/bfly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := decodeBody[TopologyStats](t, get)
+	stepBefore, offeredBefore := before.Step, before.Offered
 	for _, c := range errCases {
 		resp, err := http.Post(srv.URL+c.url, "application/json", bytes.NewReader([]byte(c.body)))
 		if err != nil {
@@ -126,6 +140,16 @@ func TestHTTPAPI(t *testing.T) {
 		resp.Body.Close()
 	}
 
+	// The rejected trailing-data requests changed nothing: only the
+	// whitespace-trailed advance stepped.
+	get, err = http.Get(srv.URL + "/v1/topologies/bfly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := decodeBody[TopologyStats](t, get); after.Step != stepBefore+1 || after.Offered != offeredBefore {
+		t.Errorf("error cases moved the engine: step %d→%d, offered %d→%d", stepBefore, after.Step, offeredBefore, after.Offered)
+	}
+
 	// Unknown topology stats → 404.
 	get, err = http.Get(srv.URL + "/v1/topologies/ghost")
 	if err != nil {
@@ -135,4 +159,61 @@ func TestHTTPAPI(t *testing.T) {
 		t.Errorf("ghost stats status %d", get.StatusCode)
 	}
 	get.Body.Close()
+}
+
+// TestBatchSizeLimit: a batch over MaxBatchPackets is refused with 400
+// before it reaches the quota bucket or the engine, even for an
+// unlimited tenant whose random batch costs a few bytes.
+func TestBatchSizeLimit(t *testing.T) {
+	cfg := manualCfg(t, "bfly")
+	cfg.Tenants = append(cfg.Tenants, TenantQuota{Name: "bulk"})
+	s, err := New([]TopologyConfig{cfg}, Options{Now: newFakeClock().now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp := postJSON(t, srv.URL+"/v1/topologies/bfly/batches", BatchRequest{Tenant: "bulk", Random: 5})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("small batch status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	before, err := s.Stats("bfly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"tenant":"bulk","random":1000000000}`,
+		`{"tenant":"bulk","random":9223372036854775807}`,
+		fmt.Sprintf(`{"tenant":"bulk","random":%d}`, MaxBatchPackets+1),
+		fmt.Sprintf(`{"tenant":"bulk","pairs":[{"src":0,"dst":60}],"random":%d}`, MaxBatchPackets),
+	} {
+		resp, err := http.Post(srv.URL+"/v1/topologies/bfly/batches", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%.60s: status %d, want 400", body, resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+	after, err := s.Stats("bfly")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.QueueDepth != before.QueueDepth || after.Offered != before.Offered ||
+		after.Tenants["bulk"] != before.Tenants["bulk"] {
+		t.Errorf("oversized batches reached the topology: %+v -> %+v", before, after)
+	}
+	if before.QueueDepth != 5 {
+		t.Errorf("queue depth %d, want the small batch's 5", before.QueueDepth)
+	}
+
+	resp = postJSON(t, srv.URL+"/v1/topologies/bfly/advance", map[string]int{"steps": MaxAdvanceSteps + 1})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("advance past MaxAdvanceSteps: status %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
 }

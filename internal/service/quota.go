@@ -34,7 +34,8 @@ func (q TenantQuota) validate() error {
 }
 
 // bucket is one tenant's live token bucket plus its quota-level ledger.
-// It is owned by the topology loop goroutine; no locking.
+// It belongs to whoever holds its topology's engine token (see the
+// package comment); no locking.
 type bucket struct {
 	rate, burst float64
 	tokens      float64

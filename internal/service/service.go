@@ -1,14 +1,21 @@
 // Package service turns the open-system simulator into routing as a
 // service: named topologies served concurrently, each backed by one
-// dynamic.Engine on its own goroutine, with clients submitting packet
-// batches (explicit src→dst pairs, explicit paths, or random draws)
-// over the HTTP API in http.go.
+// dynamic.Engine, with clients submitting packet batches (explicit
+// src→dst pairs, explicit paths, or random draws) over the HTTP API in
+// http.go.
 //
-// Concurrency model: every Topology owns its engine exclusively on a
-// single loop goroutine; all access — batch submission, stats reads,
-// manual stepping, snapshots — is a closure executed on that goroutine
-// between engine steps (Topology.do). There are no locks around engine
-// state and no data races by construction, and a snapshot always
+// Concurrency model: every Topology guards its engine, quota buckets
+// and last window with a one-slot engine token (a channel of capacity
+// 1 that holds the token while nobody owns the engine). All access —
+// batch submission, stats reads, manual stepping, snapshots — goes
+// through Topology.do, which takes the token, runs a closure on the
+// caller's own goroutine and gives the token back. A manual-stepping
+// topology runs no goroutine at all. An auto-step topology runs one
+// stepper goroutine that takes the token for one step at a time and
+// sleeps on a wake channel while the engine is idle; Go hands a
+// channel's value to its waiting receivers in FIFO order, so a caller
+// waits at most for the step in progress and the callers queued ahead
+// of it. There are no locks around engine state, and a closure always
 // observes the engine quiescent at a step boundary.
 //
 // Admission is two-stage. A tenant's token bucket (quota.go) gates
@@ -64,7 +71,7 @@ type TopologyConfig struct {
 	// identical pure fault function.
 	FaultSpec string
 	FaultSeed int64
-	// AutoStep lets the loop goroutine step the engine whenever it has
+	// AutoStep lets a stepper goroutine step the engine whenever it has
 	// work (or Lambda > 0). With AutoStep false the engine advances only
 	// through Advance — the deterministic mode, where the trajectory is
 	// a pure function of the submitted batch/advance sequence.
@@ -87,30 +94,41 @@ type Service struct {
 	order []string
 }
 
-// Topology serves one network. All fields below cmds are owned by the
-// loop goroutine.
-type Topology struct {
+// topologySpec is what New and Restore each know about a topology
+// before its engine exists.
+type topologySpec struct {
 	name      string
 	g         *graph.Leveled
 	faultSpec string
 	faultSeed int64
 	autoStep  bool
 	lambda    float64
-	now       func() time.Time
+}
 
-	cmds     chan func()
-	stop     chan struct{}
-	stopOnce sync.Once
+// Topology serves one network. eng, quotas and lastWindow belong to
+// whoever holds the engine token.
+type Topology struct {
+	topologySpec
+	now func() time.Time
+
+	// engine holds the token while no call and no step owns the engine.
+	// A holder that stops the topology (halt, a step error, a panic)
+	// closes done and keeps the token, so once done is closed the token
+	// never comes back.
+	engine   chan struct{}
 	done     chan struct{}
+	wake     chan struct{} // auto-step only: nudges an idle stepper
+	stopOnce sync.Once
+	stepper  sync.WaitGroup
 
 	eng        *dynamic.Engine
 	quotas     map[string]*bucket
-	err        error // set before done closes
+	err        error // why the topology stopped; set before done closes
 	lastWindow *dynamic.WindowStats
 }
 
-// New builds and starts a service. Every topology's loop goroutine is
-// running when New returns; Close stops them.
+// New builds and starts a service. Every auto-step topology's stepper
+// goroutine is running when New returns; Close stops them.
 func New(cfgs []TopologyConfig, opts Options) (*Service, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("service: no topologies configured")
@@ -141,6 +159,8 @@ func New(cfgs []TopologyConfig, opts Options) (*Service, error) {
 	return s, nil
 }
 
+// newTopology builds and starts a topology from its
+// configuration.
 func newTopology(tc TopologyConfig, now func() time.Time) (*Topology, error) {
 	if tc.Network == nil {
 		return nil, fmt.Errorf("no network")
@@ -148,45 +168,61 @@ func newTopology(tc TopologyConfig, now func() time.Time) (*Topology, error) {
 	if tc.Engine.Steps != 0 {
 		return nil, fmt.Errorf("service engines are unbounded: Steps must be 0, got %d", tc.Engine.Steps)
 	}
-	tp := &Topology{
-		name: tc.Name, g: tc.Network,
-		faultSpec: tc.FaultSpec, faultSeed: tc.FaultSeed,
-		autoStep: tc.AutoStep, lambda: tc.Engine.Lambda, now: now,
-		cmds: make(chan func()),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	cfg := tc.Engine
-	model, err := bindFaults(tc.FaultSpec, tc.Network, tc.FaultSeed)
-	if err != nil {
-		return nil, err
-	}
-	if model != nil {
-		cfg.Faults = model
-	}
-	userOW := cfg.OnWindow
-	cfg.OnWindow = func(w dynamic.WindowStats, r *dynamic.Result) {
-		tp.recordWindow(w, r)
-		if userOW != nil {
-			userOW(w, r)
-		}
-	}
-	eng, err := dynamic.NewEngine(tc.Network, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tp.eng = eng
-	tp.quotas = make(map[string]*bucket, len(tc.Tenants))
+	quotas := make(map[string]*bucket, len(tc.Tenants))
 	for _, q := range tc.Tenants {
 		if err := q.validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := tp.quotas[q.Name]; dup {
+		if _, dup := quotas[q.Name]; dup {
 			return nil, fmt.Errorf("duplicate tenant %q", q.Name)
 		}
-		tp.quotas[q.Name] = newBucket(q, now())
+		quotas[q.Name] = newBucket(q, now())
 	}
-	go tp.loop()
+	spec := topologySpec{
+		name: tc.Name, g: tc.Network,
+		faultSpec: tc.FaultSpec, faultSeed: tc.FaultSeed,
+		autoStep: tc.AutoStep, lambda: tc.Engine.Lambda,
+	}
+	return startTopology(spec, now, quotas, func(h dynamic.Hooks) (*dynamic.Engine, error) {
+		cfg := tc.Engine
+		if h.Faults != nil {
+			cfg.Faults = h.Faults
+		}
+		userOW := cfg.OnWindow
+		cfg.OnWindow = func(w dynamic.WindowStats, r *dynamic.Result) {
+			h.OnWindow(w, r)
+			if userOW != nil {
+				userOW(w, r)
+			}
+		}
+		return dynamic.NewEngine(tc.Network, cfg)
+	})
+}
+
+// startTopology is the one constructor behind New and Restore: it binds
+// the fault spec, builds the engine through build (which receives the
+// fault model and the window hook the topology needs), hands out the
+// engine token and, for an auto-step topology, starts the stepper.
+func startTopology(spec topologySpec, now func() time.Time, quotas map[string]*bucket,
+	build func(dynamic.Hooks) (*dynamic.Engine, error)) (*Topology, error) {
+	model, err := bindFaults(spec.faultSpec, spec.g, spec.faultSeed)
+	if err != nil {
+		return nil, err
+	}
+	tp := &Topology{topologySpec: spec, now: now, quotas: quotas}
+	eng, err := build(dynamic.Hooks{Faults: model, OnWindow: tp.recordWindow})
+	if err != nil {
+		return nil, err
+	}
+	tp.eng = eng
+	tp.engine = make(chan struct{}, 1)
+	tp.engine <- struct{}{}
+	tp.done = make(chan struct{})
+	if tp.autoStep {
+		tp.wake = make(chan struct{}, 1)
+		tp.stepper.Add(1)
+		go tp.stepLoop()
+	}
 	return tp, nil
 }
 
@@ -199,57 +235,73 @@ func bindFaults(spec string, g *graph.Leveled, seed int64) (sim.FaultModel, erro
 	return c.Model(g, seed), nil
 }
 
-// recordWindow runs on the loop goroutine (engine OnWindow hook).
+// recordWindow runs under the engine token (engine OnWindow hook).
 func (tp *Topology) recordWindow(w dynamic.WindowStats, _ *dynamic.Result) {
 	ww := w
 	tp.lastWindow = &ww
 }
 
-// loop is the topology's single-threaded owner: it executes submitted
-// closures between steps and, in auto-step mode, steps the engine
-// whenever it has work.
-func (tp *Topology) loop() {
-	defer close(tp.done)
+// stepLoop is an auto-step topology's stepper goroutine: it takes the
+// engine token for one step at a time while the engine has work (or
+// λ > 0) and otherwise sleeps until a call wakes it. It exits when the
+// topology stops.
+func (tp *Topology) stepLoop() {
+	defer tp.stepper.Done()
 	for {
 		select {
-		case f := <-tp.cmds:
-			f()
-		case <-tp.stop:
+		case <-tp.engine:
+		case <-tp.done:
 			return
-		default:
-			if tp.autoStep && (tp.eng.HasWork() || tp.lambda > 0) {
-				if err := tp.eng.Step(); err != nil {
-					tp.err = err
-					return
-				}
-				continue
-			}
-			// Idle (or manual mode): block until work arrives.
+		}
+		if !tp.eng.HasWork() && tp.lambda == 0 {
+			tp.engine <- struct{}{}
 			select {
-			case f := <-tp.cmds:
-				f()
-			case <-tp.stop:
+			case <-tp.wake:
+				continue
+			case <-tp.done:
 				return
 			}
 		}
+		if err := tp.eng.Step(); err != nil {
+			tp.kill(err)
+			return
+		}
+		tp.engine <- struct{}{}
 	}
 }
 
-// do executes f on the loop goroutine and waits for it.
+// do runs f under the engine token on the caller's goroutine. It
+// returns ErrStopped (wrapping the cause, if any) once the topology has
+// stopped. A panic in f stops the topology and is re-raised, so the
+// token is never lost with the engine in an unknown state.
 func (tp *Topology) do(f func()) error {
-	ran := make(chan struct{})
-	wrapped := func() { f(); close(ran) }
 	select {
-	case tp.cmds <- wrapped:
+	case <-tp.engine:
 	case <-tp.done:
 		return tp.exitErr()
 	}
-	select {
-	case <-ran:
-		return nil
-	case <-tp.done:
-		return tp.exitErr()
-	}
+	defer func() {
+		if r := recover(); r != nil {
+			tp.kill(fmt.Errorf("panic: %v", r))
+			panic(r)
+		}
+		tp.engine <- struct{}{}
+		if tp.wake != nil {
+			select {
+			case tp.wake <- struct{}{}:
+			default: // a wake is already pending
+			}
+		}
+	}()
+	f()
+	return nil
+}
+
+// kill stops the topology for good. The caller must hold the engine
+// token, which it keeps.
+func (tp *Topology) kill(err error) {
+	tp.err = err
+	close(tp.done)
 }
 
 // exitErr is only called after done is closed (err writes
@@ -261,10 +313,18 @@ func (tp *Topology) exitErr() error {
 	return ErrStopped
 }
 
-// halt stops the loop goroutine and waits for it to exit.
+// halt stops the topology — it waits for the call or step in progress,
+// then takes the engine token for good — and waits for the stepper to
+// exit.
 func (tp *Topology) halt() {
-	tp.stopOnce.Do(func() { close(tp.stop) })
-	<-tp.done
+	tp.stopOnce.Do(func() {
+		select {
+		case <-tp.engine:
+			tp.kill(nil)
+		case <-tp.done: // already stopped by a step error or a panic
+		}
+	})
+	tp.stepper.Wait()
 }
 
 // topology looks a topology up by name.
@@ -281,7 +341,7 @@ func (s *Service) Names() []string {
 	return append([]string(nil), s.order...)
 }
 
-// Close stops every topology loop. In-flight packets are abandoned
+// Close stops every topology. In-flight packets are abandoned
 // unless a Snapshot was taken first — the SIGTERM path is
 // Snapshot → persist → Close.
 func (s *Service) Close() {
@@ -337,10 +397,29 @@ func (s *Service) SubmitBatch(topo string, req BatchRequest) (BatchResult, error
 	return tp.submitBatch(req)
 }
 
+// MaxBatchPackets caps one batch's packet count: about what the largest
+// accepted HTTP body (8 MiB) of minimal pairs carries. It keeps a
+// random batch, which costs a few bytes however large, from queueing
+// more than an explicit one could.
+const MaxBatchPackets = maxBodyBytes / len(`{"src":0,"dst":0},`)
+
+// MaxAdvanceSteps caps the steps one Advance call runs while it holds
+// the engine; longer drives take several calls.
+const MaxAdvanceSteps = 1 << 20
+
 func (tp *Topology) submitBatch(req BatchRequest) (BatchResult, error) {
+	if req.Random < 0 {
+		return BatchResult{}, fmt.Errorf("service: negative random count %d", req.Random)
+	}
+	if req.Random > MaxBatchPackets {
+		return BatchResult{}, fmt.Errorf("service: batch of %d random packets exceeds the limit of %d", req.Random, MaxBatchPackets)
+	}
 	n := len(req.Pairs) + len(req.Paths) + req.Random
-	if req.Random < 0 || n <= 0 {
-		return BatchResult{}, fmt.Errorf("service: empty or negative batch")
+	if n <= 0 {
+		return BatchResult{}, fmt.Errorf("service: empty batch")
+	}
+	if n > MaxBatchPackets {
+		return BatchResult{}, fmt.Errorf("service: batch of %d packets exceeds the limit of %d", n, MaxBatchPackets)
 	}
 	res := BatchResult{Topology: tp.name, Tenant: req.Tenant}
 	var reqErr error
@@ -396,16 +475,17 @@ func (tp *Topology) submitBatch(req BatchRequest) (BatchResult, error) {
 	return res, reqErr
 }
 
-// Advance steps the named topology's engine n times — the deterministic
-// drive for AutoStep=false topologies (it also works on auto-step ones,
-// interleaving with the loop's own steps).
+// Advance steps the named topology's engine n times (1 <= n <=
+// MaxAdvanceSteps) — the deterministic drive for AutoStep=false
+// topologies (it also works on auto-step ones, interleaving with the
+// stepper's own steps).
 func (s *Service) Advance(topo string, n int) (int, error) {
 	tp := s.topology(topo)
 	if tp == nil {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownTopology, topo)
 	}
-	if n < 1 {
-		return 0, fmt.Errorf("service: advance needs >= 1 steps, got %d", n)
+	if n < 1 || n > MaxAdvanceSteps {
+		return 0, fmt.Errorf("service: advance needs 1..%d steps, got %d", MaxAdvanceSteps, n)
 	}
 	var step int
 	var stepErr error
@@ -494,7 +574,7 @@ func (s *Service) Stats(topo string) (TopologyStats, error) {
 	return st, err
 }
 
-// stats runs on the loop goroutine.
+// stats runs under the engine token.
 func (tp *Topology) stats() TopologyStats {
 	r := tp.eng.Peek()
 	st := TopologyStats{
@@ -544,8 +624,8 @@ func (s *Service) AllStats() []TopologyStats {
 }
 
 // Snapshot freezes the whole service into the versioned wire form. Each
-// topology is captured at a step boundary (the capture runs on its loop
-// goroutine); topologies are captured sequentially, so the snapshot is
+// topology is captured at a step boundary (the capture runs under its
+// engine token); topologies are captured sequentially, so the snapshot is
 // per-topology consistent, not a cross-topology instant — topologies
 // share no state, so that is the strongest consistency there is.
 func (s *Service) Snapshot() (*persist.ServiceSnapshot, error) {
@@ -621,33 +701,22 @@ func Restore(snap *persist.ServiceSnapshot, opts Options) (*Service, error) {
 			s.Close()
 			return nil, fmt.Errorf("service: restore %q: %w", ts.Name, err)
 		}
-		model, err := bindFaults(ts.FaultSpec, g, ts.FaultSeed)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("service: restore %q: %w", ts.Name, err)
+		quotas := make(map[string]*bucket, len(ts.Tenants))
+		for _, q := range ts.Tenants {
+			quotas[q.Name] = restoreBucket(q, now())
 		}
-		tp := &Topology{
+		spec := topologySpec{
 			name: ts.Name, g: g,
 			faultSpec: ts.FaultSpec, faultSeed: ts.FaultSeed,
-			autoStep: ts.AutoStep, lambda: ts.Engine.Lambda, now: now,
-			cmds: make(chan func()),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
+			autoStep: ts.AutoStep, lambda: ts.Engine.Lambda,
 		}
-		eng, err := dynamic.Restore(g, &ts.Engine, dynamic.Hooks{
-			Faults:   model,
-			OnWindow: tp.recordWindow,
+		tp, err := startTopology(spec, now, quotas, func(h dynamic.Hooks) (*dynamic.Engine, error) {
+			return dynamic.Restore(g, &ts.Engine, h)
 		})
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("service: restore %q: %w", ts.Name, err)
 		}
-		tp.eng = eng
-		tp.quotas = make(map[string]*bucket, len(ts.Tenants))
-		for _, q := range ts.Tenants {
-			tp.quotas[q.Name] = restoreBucket(q, now())
-		}
-		go tp.loop()
 		s.topos[ts.Name] = tp
 		s.order = append(s.order, ts.Name)
 	}
