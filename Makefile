@@ -35,12 +35,17 @@ selfcheck:
 cover:
 	$(GO) test -cover ./...
 
-# Brief fuzzing session over the input parsers and the levelizer.
+# Brief fuzzing session over the input parsers, the levelizer and the
+# snapshot restore path (the same targets as CI's fuzz-smoke job).
+# Snapshot inputs are kilobytes of JSON; minimising each new one for the
+# default 60s would eat the whole session.
 fuzz:
 	$(GO) test -fuzz FuzzReadProblem -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReadNetwork -fuzztime 30s ./internal/persist/
+	$(GO) test -fuzz FuzzReadCampaignCheckpoint -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzLevelize -fuzztime 30s ./internal/topo/
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 30s ./internal/service/
+	$(GO) test -fuzz FuzzReadServiceSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/service/
 
 clean:
 	rm -rf figs

@@ -41,19 +41,15 @@ func main() {
 		saveTo   = flag.String("save", "", "save the generated problem (network + paths) to this JSON file and continue")
 		loadFrom = flag.String("load", "", "load the problem from this JSON file instead of generating one")
 
-		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchEngine   = flag.String("bench-engine", "", "write the engine hot-path benchmark (BENCH_engine.json) to this file and exit")
-		benchParallel = flag.String("bench-parallel", "", "write only the workers-sweep benchmark (sparse butterfly, no ensemble) to this file and exit — the multi-core CI fast path")
-		benchObs      = flag.String("bench-obs", "", "write the observability overhead benchmark (BENCH_obs.json) to this file and exit")
-		benchDynamic  = flag.String("bench-dynamic", "", "write the open-system (service) engine benchmark (BENCH_dynamic.json) to this file and exit; -bench-scale/-bench-strict-allocs/-bench-baseline apply")
-		benchDynPrePR = flag.String("bench-dynamic-prepr", "", "same-host BENCH_dynamic.json recorded against the pre-SoA engine; stamps pre_pr_ns_per_step/speedup_vs_pre_pr into the fresh rows")
-		benchScale    = flag.Int("bench-scale", 1, "engine benchmark scale: 1 = quick, 2 = full")
-		benchStrict   = flag.Bool("bench-strict-allocs", false, "fail the engine benchmark if any steady-state row allocates")
-		benchBase     = flag.String("bench-baseline", "", "compare the fresh engine benchmark against this committed BENCH_engine.json and fail on >10% ns/step regression for matched valid rows (stale invalid_parallel rows are warned about and skipped)")
-		benchSpeedup  = flag.Float64("bench-require-speedup", 0, "fail unless the recorded workers=4 row shows at least this speedup_vs_1 (0 = no gate)")
-		workers       = flag.Int("workers", 1, "parallel-step worker goroutines (1 = sequential; trace is identical either way)")
-		shards        = flag.Int("shards", 0, "parallel-step node shards (0 = workers x 8)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		benchSuite   = flag.String("bench", "", "run a benchmark suite (engine|parallel|dynamic|obs), write its BENCH json to -bench-out, fail if a gated row allocates, and exit")
+		benchOut     = flag.String("bench-out", "", "file the -bench document is written to")
+		benchScale   = flag.Int("bench-scale", 1, "benchmark scale: 1 = quick, 2 = full")
+		benchBase    = flag.String("bench-baseline", "", "fail on a >10% regression of any row's fastest ns/step against this committed BENCH json of the same suite and scale")
+		benchSpeedup = flag.Float64("bench-require-speedup", 0, "fail unless every workers=4 sweep row shows at least this speedup_vs_1 (0 = no gate)")
+		workers      = flag.Int("workers", 1, "parallel-step worker goroutines (1 = sequential; trace is identical either way)")
+		shards       = flag.Int("shards", 0, "parallel-step node shards (0 = workers x 8)")
 
 		campaignOut       = flag.String("campaign", "", "run an experiment campaign, write its result document (CAMPAIGN json) to this file and exit (see docs/CAMPAIGNS.md)")
 		campaignGrid      = flag.String("campaign-grid", "smoke", "named campaign grid: smoke|full")
@@ -92,77 +88,8 @@ func main() {
 		}()
 	}
 
-	if *benchEngine != "" || *benchParallel != "" {
-		path, parallelOnly := *benchEngine, false
-		if *benchParallel != "" {
-			path, parallelOnly = *benchParallel, true
-		}
-		cur, err := bench.WriteEngineBench(path, *benchScale, *benchStrict, parallelOnly)
-		fatal(err)
-		what := "engine benchmark"
-		if parallelOnly {
-			what = "workers-sweep benchmark"
-		}
-		fmt.Printf("wrote %s to %s (gomaxprocs=%d", what, path, cur.GOMAXPROCS)
-		if cur.CPUModel != "" {
-			fmt.Printf(", cpu=%s", cur.CPUModel)
-		}
-		if len(cur.SkippedWorkers) > 0 {
-			fmt.Printf(", skipped workers %v", cur.SkippedWorkers)
-		}
-		fmt.Println(")")
-		for _, r := range cur.Rows {
-			if r.Workers > 1 && r.SpeedupVs1 > 0 {
-				fmt.Printf("  %s workers=%d: %.2fx vs workers=1 (efficiency %.2f)\n",
-					r.Topology, r.Workers, r.SpeedupVs1, r.ParallelEfficiency)
-			}
-		}
-		if *benchBase != "" {
-			base, err := bench.ReadEngineBench(*benchBase)
-			fatal(err)
-			warnings, err := bench.CompareEngineBench(base, cur, 0.10)
-			for _, w := range warnings {
-				fmt.Printf("warning: %s\n", w)
-			}
-			fatal(err)
-			fmt.Printf("benchmark regression gate passed vs %s\n", *benchBase)
-		}
-		if *benchSpeedup > 0 {
-			fatal(bench.CheckParallelSpeedup(cur, 4, *benchSpeedup))
-			fmt.Printf("parallel speedup gate passed (>=%.2fx at workers=4)\n", *benchSpeedup)
-		}
-		return
-	}
-	if *benchDynamic != "" {
-		cur, err := bench.WriteDynamicBench(*benchDynamic, *benchScale, *benchStrict, *benchDynPrePR)
-		fatal(err)
-		fmt.Printf("wrote dynamic engine benchmark to %s (gomaxprocs=%d", *benchDynamic, cur.GOMAXPROCS)
-		if cur.CPUModel != "" {
-			fmt.Printf(", cpu=%s", cur.CPUModel)
-		}
-		fmt.Println(")")
-		for _, r := range cur.Rows {
-			fmt.Printf("  %s: %.0f ns/step (steady %.0f), %.4f allocs/step", r.Topology, r.NsPerStep, r.SteadyNsPerStep, r.AllocsPerStep)
-			if r.SpeedupVsPrePR > 0 {
-				fmt.Printf(", %.2fx vs pre-SoA", r.SpeedupVsPrePR)
-			}
-			fmt.Println()
-		}
-		if *benchBase != "" {
-			base, err := bench.ReadDynamicBench(*benchBase)
-			fatal(err)
-			warnings, err := bench.CompareDynamicBench(base, cur, 0.10)
-			for _, w := range warnings {
-				fmt.Printf("warning: %s\n", w)
-			}
-			fatal(err)
-			fmt.Printf("dynamic benchmark regression gate passed vs %s\n", *benchBase)
-		}
-		return
-	}
-	if *benchObs != "" {
-		fatal(bench.WriteObsBench(*benchObs, *benchScale))
-		fmt.Printf("wrote observability benchmark to %s\n", *benchObs)
+	if *benchSuite != "" {
+		runBench(*benchSuite, *benchOut, *benchScale, *benchBase, *benchSpeedup)
 		return
 	}
 	if *campaignOut != "" {
@@ -232,6 +159,53 @@ func main() {
 			}
 			runOne(prob, k, *seed, false, false, *workers, *shards, campaign, obsConfig{})
 		}
+	}
+}
+
+// runBench records a benchmark suite, writes it to out, then applies
+// the gates: 0 allocs/step on gated rows, the regression gate against
+// baseline when given, and the workers=4 speedup gate when minSpeedup
+// is set. The document is written before gating so a failed run still
+// leaves its figures behind.
+func runBench(suite, out string, scale int, baseline string, minSpeedup float64) {
+	if out == "" {
+		fatal(fmt.Errorf("-bench needs -bench-out"))
+	}
+	d, err := bench.Run(suite, scale)
+	fatal(err)
+	fatal(bench.Write(out, d))
+	fmt.Printf("wrote %s benchmark to %s (gomaxprocs=%d", suite, out, d.GOMAXPROCS)
+	if d.CPUModel != "" {
+		fmt.Printf(", cpu=%s", d.CPUModel)
+	}
+	if len(d.SkippedWorkers) > 0 {
+		fmt.Printf(", skipped workers %v", d.SkippedWorkers)
+	}
+	fmt.Println(")")
+	for _, r := range d.Rows {
+		if len(r.NsPerStep) == 0 {
+			continue
+		}
+		fmt.Printf("  %s: %.0f ns/step, %.4f allocs/step", r.Name, r.Best(), r.AllocsPerStep)
+		if s := r.Metrics["speedup_vs_1"]; s > 0 {
+			fmt.Printf(", %.2fx vs workers=1", s)
+		}
+		fmt.Println()
+	}
+	fatal(bench.CheckStrictAllocs(d))
+	if baseline != "" {
+		base, err := bench.Read(baseline)
+		fatal(err)
+		warnings, err := bench.Compare(base, d, 0.10)
+		for _, w := range warnings {
+			fmt.Printf("warning: %s\n", w)
+		}
+		fatal(err)
+		fmt.Printf("benchmark regression gate passed vs %s\n", baseline)
+	}
+	if minSpeedup > 0 {
+		fatal(bench.CheckParallelSpeedup(d, 4, minSpeedup))
+		fmt.Printf("parallel speedup gate passed (>=%.2fx at workers=4)\n", minSpeedup)
 	}
 }
 

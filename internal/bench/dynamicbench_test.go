@@ -9,7 +9,7 @@ import (
 
 // BenchmarkDynamicStep measures the open-system engine's per-step cost
 // under the sustained service workload (a SubmitRandom batch every few
-// steps, the scripted shape RunDynamicBench replays): the go-bench
+// steps, the scripted shape the -bench dynamic suite replays): the go-bench
 // counterpart of the butterfly(5)-service row in BENCH_dynamic.json.
 // On a warmed engine it must report 0 allocs/op.
 func BenchmarkDynamicStep(b *testing.B) {

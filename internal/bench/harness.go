@@ -1,0 +1,732 @@
+package bench
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"runtime"
+	"strings"
+	"time"
+
+	"hotpotato/internal/baselines"
+	"hotpotato/internal/core"
+	"hotpotato/internal/dynamic"
+	"hotpotato/internal/faults"
+	"hotpotato/internal/mc"
+	"hotpotato/internal/obs"
+	"hotpotato/internal/sim"
+	"hotpotato/internal/topo"
+	"hotpotato/internal/workload"
+)
+
+// Row is one measurement of a BENCH_*.json document.
+type Row struct {
+	// Name identifies the row across recordings; Compare keys on it.
+	// Workers-sweep rows end in "/workers=N", observability rows in
+	// "/<mode>".
+	Name string `json:"name"`
+	// NsPerStep holds one sample per rep: the rep's summed wall time
+	// over its summed steps. Compare gates the fastest sample, since
+	// nothing makes a rep spuriously fast.
+	NsPerStep []float64 `json:"ns_per_step,omitempty"`
+	// Steps is the measured step count of the shortest rep.
+	Steps int `json:"steps"`
+	// AllocsPerStep is the minimum over reps of heap allocations per
+	// step. Every rep replays the same warmed workload, so an allocation
+	// on the stepping path recurs in every rep, while a stray runtime
+	// allocation (a new M on the start-the-world inside ReadMemStats,
+	// the scavenger's timer, a GC mark worker) lands in one rep and is
+	// discarded.
+	AllocsPerStep float64 `json:"allocs_per_step"`
+	// Gated marks the rows CheckStrictAllocs holds to 0 allocs/step.
+	// Parallel rows, instrumented rows and the faulted service row are
+	// reported but not gated: scheduler activity, probe consumers and
+	// fault-model closures are outside the engines' allocation contract.
+	Gated bool `json:"gated"`
+	// Metrics holds the row's shape and derived figures: nodes, edges,
+	// packets, workers, the ramp/steady split, speedup_vs_1,
+	// overhead_pct, peak in flight, ensemble throughput.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Best is the fastest rep's ns/step, or 0 for a row without samples.
+func (r Row) Best() float64 {
+	if len(r.NsPerStep) == 0 {
+		return 0
+	}
+	best := r.NsPerStep[0]
+	for _, s := range r.NsPerStep[1:] {
+		best = min(best, s)
+	}
+	return best
+}
+
+// Doc is one BENCH_*.json document: the recording host, the suite and
+// scale, and the rows.
+type Doc struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	// CPUModel names the recording host's processor when the platform
+	// exposes it (/proc/cpuinfo on linux); empty otherwise.
+	CPUModel string `json:"cpu_model,omitempty"`
+	Suite    string `json:"suite"`
+	Scale    int    `json:"scale"`
+	// SkippedWorkers lists sweep worker counts above GOMAXPROCS. Such
+	// rows could only show time-slicing, never speedup, so the document
+	// states the omission instead of recording them.
+	SkippedWorkers []int `json:"skipped_workers,omitempty"`
+	Rows           []Row `json:"rows"`
+}
+
+// Run records one benchmark suite. Suites:
+//
+//   - engine: the batch engine on dense and sparse butterflies, the hard
+//     mesh and a random leveled network, the sparse butterfly swept over
+//     the worker counts GOMAXPROCS can schedule, and Monte-Carlo
+//     ensemble throughput with vs without engine reuse;
+//   - parallel: only the workers sweep, the multi-core CI fast path;
+//   - dynamic: the open-system (service) engine replaying the
+//     batch/advance/drain script of scripts/service_smoke.sh;
+//   - obs: the observability layer's per-step overhead.
+//
+// Scale 1 is the quick CI shape; scale 2 grows the networks to the
+// sizes the docs quote.
+func Run(suite string, scale int) (*Doc, error) {
+	if scale < 1 {
+		scale = 1
+	}
+	d := &Doc{
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
+		Suite:      suite,
+		Scale:      scale,
+	}
+	var err error
+	switch suite {
+	case "engine", "parallel":
+		err = runEngineSuite(d, suite == "parallel")
+	case "dynamic":
+		err = runDynamicSuite(d)
+	case "obs":
+		err = runObsSuite(d)
+	default:
+		return nil, fmt.Errorf("bench: unknown suite %q (want engine|parallel|dynamic|obs)", suite)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// cpuModel best-effort-identifies the host processor. Linux exposes it
+// in /proc/cpuinfo; elsewhere (or in stripped containers) the empty
+// string is recorded and consumers fall back to num_cpu/gomaxprocs.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			if _, v, ok := strings.Cut(name, ":"); ok {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return ""
+}
+
+const (
+	// benchReps is how many samples each row takes.
+	benchReps = 5
+	// benchWindow is the fewest steps one rep measures: a rep repeats
+	// its pass until it has covered this many. The dense butterfly
+	// drains in ~14 steps, tens of microseconds, where a single pass is
+	// scheduler and cache noise and a single runtime malloc reads as
+	// 0.07 allocs/step.
+	benchWindow = 1 << 14
+	// runBudget bounds one pass; a pass that cannot finish within it is
+	// broken, not slow.
+	runBudget = 1 << 22
+)
+
+// pass is one timed replay of a row's workload. The ramp is the prefix
+// during which packets are still being admitted; the rest is the drain.
+type pass struct {
+	steps, rampSteps int
+	wall, ramp       time.Duration
+}
+
+// measure is the one measure loop behind every stepped row: warm once,
+// so measured passes see no scratch growth, pool spin-up or first-touch
+// allocation; then take benchReps reps, each repeating the pass until it
+// reaches benchWindow steps. Only the passes' own clocks count, so
+// per-pass rewinds stay outside the timing. The metrics record the
+// mean pass, and steady_ns_per_step the fastest rep's drain rate.
+func measure(name string, run func() (pass, error)) (Row, error) {
+	if _, err := run(); err != nil {
+		return Row{}, fmt.Errorf("bench: %s (warmup): %w", name, err)
+	}
+	row := Row{Name: name, AllocsPerStep: math.Inf(1)}
+	steady := 0.0
+	var tot pass
+	passes := 0
+	for rep := 0; rep < benchReps; rep++ {
+		tot, passes = pass{}, 0
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for tot.steps < benchWindow {
+			p, err := run()
+			if err != nil {
+				return Row{}, fmt.Errorf("bench: %s: %w", name, err)
+			}
+			if p.steps == 0 {
+				return Row{}, fmt.Errorf("bench: %s executed no steps", name)
+			}
+			tot.steps += p.steps
+			tot.rampSteps += p.rampSteps
+			tot.wall += p.wall
+			tot.ramp += p.ramp
+			passes++
+		}
+		runtime.ReadMemStats(&after)
+		row.AllocsPerStep = min(row.AllocsPerStep, float64(after.Mallocs-before.Mallocs)/float64(tot.steps))
+		row.NsPerStep = append(row.NsPerStep, float64(tot.wall.Nanoseconds())/float64(tot.steps))
+		if rep == 0 || tot.steps < row.Steps {
+			row.Steps = tot.steps
+		}
+		if drain := tot.steps - tot.rampSteps; drain > 0 {
+			ns := float64((tot.wall - tot.ramp).Nanoseconds()) / float64(drain)
+			if steady == 0 || ns < steady {
+				steady = ns
+			}
+		}
+	}
+	row.Metrics = map[string]float64{
+		"pass_steps": float64(tot.steps) / float64(passes),
+		"ramp_steps": float64(tot.rampSteps) / float64(passes),
+	}
+	if steady > 0 {
+		row.Metrics["steady_ns_per_step"] = steady
+	}
+	return row, nil
+}
+
+// enginePass rewinds e and re-attaches its instrumentation outside the
+// clock, then times one run split at the last injection. The ramp is
+// stepped with the same Step loop Run uses, so the trace is unaffected.
+func enginePass(e *sim.Engine, attach func(*sim.Engine)) func() (pass, error) {
+	n := len(e.Packets)
+	return func() (pass, error) {
+		e.Reset(1)
+		if attach != nil {
+			attach(e)
+		}
+		var p pass
+		start := time.Now()
+		for e.M.Injected < n && !e.Done() && p.rampSteps < runBudget {
+			e.Step()
+			p.rampSteps++
+		}
+		p.ramp = time.Since(start)
+		steps, done := e.Run(runBudget)
+		p.wall = time.Since(start)
+		if !done {
+			return pass{}, fmt.Errorf("run did not complete within %d steps", runBudget)
+		}
+		p.steps = steps
+		return p, nil
+	}
+}
+
+// staggeredGreedy admits packet i only from step i/rate, keeping a few
+// percent of a large workload in flight at once — the sparse regime the
+// active-set bookkeeping exists for (a full sweep would pay for every
+// node and packet per step regardless of activity).
+type staggeredGreedy struct {
+	*baselines.Greedy
+	rate int
+}
+
+func (s *staggeredGreedy) WantInject(t int, p *sim.Packet) bool {
+	return t >= int(p.ID)/s.rate
+}
+
+// InjectStep overrides the embedded Greedy's step-0 bound with the
+// wrapper's exact admission step, so the engine's release queue sweeps
+// only the packets at the admission edge instead of the whole workload.
+// The embedded Greedy's EndStep is a no-op, as the planner contract
+// requires.
+func (s *staggeredGreedy) InjectStep(p *sim.Packet) int { return int(p.ID) / s.rate }
+
+// ConcurrentRequests certifies the wrapper like the wrapped Greedy:
+// the admission schedule is a pure function of (t, packet ID).
+func (s *staggeredGreedy) ConcurrentRequests() bool { return true }
+
+// engineCase is one batch-engine workload.
+type engineCase struct {
+	name  string
+	build func() (*workload.Problem, error)
+	route func() sim.Router
+	// sweep records the case at every worker count of engineWorkerCounts
+	// GOMAXPROCS can schedule, reusing the engine via Reset.
+	sweep bool
+}
+
+// engineWorkerCounts is the parallel-step sweep: sequential, then
+// 2/4/8 workers.
+var engineWorkerCounts = []int{1, 2, 4, 8}
+
+// engineCases returns the dense butterfly, the sparse (staggered)
+// butterfly, the hard mesh and a random leveled network at scale.
+func engineCases(scale int) []engineCase {
+	denseK, sparseK, meshN := 7, 10, 12
+	if scale >= 2 {
+		denseK, sparseK, meshN = 8, 12, 16
+	}
+	greedy := func() sim.Router { return baselines.NewGreedy() }
+	return []engineCase{
+		{
+			name: fmt.Sprintf("butterfly(%d)-dense", denseK),
+			build: func() (*workload.Problem, error) {
+				g, err := topo.Butterfly(denseK)
+				if err != nil {
+					return nil, err
+				}
+				return workload.FullThroughput(g, rngFor("bench-engine-dense", denseK))
+			},
+			route: greedy,
+		},
+		{
+			name: fmt.Sprintf("butterfly(%d)-sparse", sparseK),
+			build: func() (*workload.Problem, error) {
+				g, err := topo.Butterfly(sparseK)
+				if err != nil {
+					return nil, err
+				}
+				return workload.FullThroughput(g, rngFor("bench-engine-sparse", sparseK))
+			},
+			route: func() sim.Router { return &staggeredGreedy{Greedy: baselines.NewGreedy(), rate: 16} },
+			sweep: true,
+		},
+		{
+			name:  fmt.Sprintf("mesh(%d)-hard", meshN),
+			build: func() (*workload.Problem, error) { return workload.MeshHard(meshN) },
+			route: greedy,
+		},
+		{
+			name: "random(depth=24)",
+			build: func() (*workload.Problem, error) {
+				g, err := topo.Random(rngFor("bench-engine-random", 0), 24, 4, 8, 0.5)
+				if err != nil {
+					return nil, err
+				}
+				return workload.Random(g, rngFor("bench-engine-random", 1), 0.5)
+			},
+			route: greedy,
+		},
+	}
+}
+
+// runEngineSuite records the engine suite, or with parallelOnly just
+// the workers sweep.
+func runEngineSuite(d *Doc, parallelOnly bool) error {
+	for _, c := range engineCases(d.Scale) {
+		if parallelOnly && !c.sweep {
+			continue
+		}
+		if err := runEngineCase(d, c); err != nil {
+			return err
+		}
+	}
+	annotateParallelEfficiency(d)
+	if parallelOnly {
+		return nil
+	}
+	ens, err := measureEnsembleReuse(d.Scale)
+	if err != nil {
+		return err
+	}
+	d.Rows = append(d.Rows, ens)
+	return nil
+}
+
+// runEngineCase measures c on one engine and appends its rows to d.
+// Only sequential rows are gated.
+func runEngineCase(d *Doc, c engineCase) error {
+	p, err := c.build()
+	if err != nil {
+		return fmt.Errorf("bench: %s: %w", c.name, err)
+	}
+	e := sim.NewEngine(p, c.route(), 1)
+	defer e.Close()
+	counts := []int{1}
+	if c.sweep {
+		counts = nil
+		for _, w := range engineWorkerCounts {
+			if w > d.GOMAXPROCS {
+				d.SkippedWorkers = append(d.SkippedWorkers, w)
+				continue
+			}
+			counts = append(counts, w)
+		}
+	}
+	for _, w := range counts {
+		name := c.name
+		if c.sweep {
+			name = fmt.Sprintf("%s/workers=%d", c.name, w)
+		}
+		if w > 1 {
+			e.SetParallelism(w, 0)
+		}
+		row, err := measure(name, enginePass(e, nil))
+		if err != nil {
+			return err
+		}
+		workers, shards := e.Parallelism()
+		row.Gated = workers == 1
+		row.Metrics["nodes"] = float64(p.G.NumNodes())
+		row.Metrics["edges"] = float64(p.G.NumEdges())
+		row.Metrics["packets"] = float64(p.N())
+		row.Metrics["workers"] = float64(workers)
+		row.Metrics["shards"] = float64(shards)
+		row.Metrics["max_in_flight"] = float64(e.M.MaxInFlight)
+		d.Rows = append(d.Rows, row)
+	}
+	return nil
+}
+
+// stepCost is the per-step figure speedups compare: the steady drain
+// rate when the pass has a drain, the fastest whole-pass rate otherwise.
+func stepCost(r Row) float64 {
+	if s := r.Metrics["steady_ns_per_step"]; s > 0 {
+		return s
+	}
+	return r.Best()
+}
+
+// annotateParallelEfficiency relates every workers>1 sweep row to the
+// workers=1 row of the same case: speedup_vs_1 = cost(1w) / cost(Nw)
+// and parallel_efficiency = speedup / workers.
+func annotateParallelEfficiency(d *Doc) {
+	seq := make(map[string]float64)
+	for _, r := range d.Rows {
+		if base, ok := strings.CutSuffix(r.Name, "/workers=1"); ok {
+			seq[base] = stepCost(r)
+		}
+	}
+	for i := range d.Rows {
+		r := &d.Rows[i]
+		base, _, ok := strings.Cut(r.Name, "/workers=")
+		workers := r.Metrics["workers"]
+		if !ok || workers <= 1 || seq[base] <= 0 {
+			continue
+		}
+		if cost := stepCost(*r); cost > 0 {
+			r.Metrics["speedup_vs_1"] = seq[base] / cost
+			r.Metrics["parallel_efficiency"] = seq[base] / cost / workers
+		}
+	}
+}
+
+// measureEnsembleReuse times the same Monte-Carlo ensemble twice: once
+// rebuilding every engine (FreshEngines) and once with the default
+// per-worker engine reuse. The row carries throughput metrics only; its
+// unit is trials, not steps.
+func measureEnsembleReuse(scale int) (Row, error) {
+	const meshN = 8
+	p, err := workload.MeshHard(meshN)
+	if err != nil {
+		return Row{}, err
+	}
+	params := core.ParamsPractical(p.C, p.L(), p.N(),
+		core.PracticalConfig{SetCongestion: 4, FrameSlack: 3, RoundFactor: 3})
+	trials := 64 * scale
+
+	run := func(fresh bool) (time.Duration, error) {
+		start := time.Now()
+		_, err := mc.Run(p, params, mc.Options{Trials: trials, FreshEngines: fresh})
+		return time.Since(start), err
+	}
+	// Warm once (page faults and lazily built topology caches are
+	// real), then measure both paths.
+	if _, err := run(true); err != nil {
+		return Row{}, err
+	}
+	fresh, err := run(true)
+	if err != nil {
+		return Row{}, err
+	}
+	reused, err := run(false)
+	if err != nil {
+		return Row{}, err
+	}
+	return Row{
+		Name: fmt.Sprintf("mesh(%d)-hard/ensemble", meshN),
+		Metrics: map[string]float64{
+			"trials":                float64(trials),
+			"workers":               float64(runtime.GOMAXPROCS(0)),
+			"fresh_trials_per_sec":  float64(trials) / fresh.Seconds(),
+			"reused_trials_per_sec": float64(trials) / reused.Seconds(),
+			"reuse_speedup":         fresh.Seconds() / reused.Seconds(),
+		},
+	}, nil
+}
+
+// dynScript is the scripted service workload one dynamic row replays:
+// batches of batchSize random packets, advance steps apart, then a
+// drain.
+type dynScript struct {
+	name               string
+	k                  int // butterfly dimension
+	batches, batchSize int
+	advance            int
+	faulted            bool
+}
+
+// runDynamicSuite measures the dynamic engine on the service-smoke
+// butterfly (scale 1) plus a larger butterfly and a faulted variant
+// (scale 2) — the manual-stepped shape scripts/service_smoke.sh drives
+// through the HTTP API, minus the HTTP.
+func runDynamicSuite(d *Doc) error {
+	scripts := []dynScript{
+		// openload -serve defaults to butterfly(5), manual stepping,
+		// retry 8.
+		{name: "butterfly(5)-service", k: 5, batches: 24, batchSize: 16, advance: 5},
+	}
+	if d.Scale >= 2 {
+		scripts = append(scripts,
+			dynScript{name: "butterfly(7)-service", k: 7, batches: 48, batchSize: 32, advance: 5},
+			dynScript{name: "butterfly(5)-service-faulted", k: 5, batches: 24, batchSize: 16, advance: 5, faulted: true},
+		)
+	}
+	for _, sc := range scripts {
+		g, err := topo.Butterfly(sc.k)
+		if err != nil {
+			return fmt.Errorf("bench: %s: %w", sc.name, err)
+		}
+		cfg := dynamic.Config{Seed: 42, Retry: dynamic.RetryPolicy{MaxAttempts: 8}}
+		if sc.faulted {
+			cfg.Faults = faults.Flap{Period: 40, Down: 6, Rate: 0.3}.Model(g, 11)
+		}
+		e, err := dynamic.NewEngine(g, cfg)
+		if err != nil {
+			return fmt.Errorf("bench: %s: %w", sc.name, err)
+		}
+		row, err := measure(sc.name, dynamicPass(e, sc))
+		if err != nil {
+			return err
+		}
+		row.Gated = !sc.faulted
+		row.Metrics["nodes"] = float64(g.NumNodes())
+		row.Metrics["edges"] = float64(g.NumEdges())
+		row.Metrics["packets"] = float64(sc.batches * sc.batchSize)
+		row.Metrics["retry_max_attempts"] = float64(cfg.Retry.MaxAttempts)
+		row.Metrics["peak_in_flight"] = float64(e.Peek().PeakInFlight)
+		d.Rows = append(d.Rows, row)
+	}
+	return nil
+}
+
+// dynamicPass replays the script once on e. The engine drains at the
+// end of every pass, so passes need no rewind; the ramp covers the
+// batches (path draws included), the rest is the drain a long-running
+// service spends most of its life in.
+func dynamicPass(e *dynamic.Engine, sc dynScript) func() (pass, error) {
+	return func() (pass, error) {
+		var p pass
+		start := time.Now()
+		steps0 := e.StepCount()
+		for b := 0; b < sc.batches; b++ {
+			if err := e.SubmitRandom("bench", sc.batchSize); err != nil {
+				return pass{}, err
+			}
+			for a := 0; a < sc.advance; a++ {
+				if err := e.Step(); err != nil {
+					return pass{}, err
+				}
+			}
+		}
+		p.rampSteps = e.StepCount() - steps0
+		p.ramp = time.Since(start)
+		for i := 0; e.HasWork(); i++ {
+			if i >= runBudget {
+				return pass{}, fmt.Errorf("did not drain within %d steps", runBudget)
+			}
+			if err := e.Step(); err != nil {
+				return pass{}, err
+			}
+		}
+		p.steps = e.StepCount() - steps0
+		p.wall = time.Since(start)
+		return p, nil
+	}
+}
+
+// summingProbe consumes the series without allocating, so the rows
+// measure the probe path itself rather than a consumer's copies.
+type summingProbe struct {
+	steps, rounds, phases int
+	deflections           int
+}
+
+func (p *summingProbe) OnStep(s *obs.StepStats) {
+	p.steps++
+	for _, d := range s.Deflections {
+		p.deflections += d
+	}
+}
+func (p *summingProbe) OnRound(*obs.StepStats) { p.rounds++ }
+func (p *summingProbe) OnPhase(*obs.StepStats) { p.phases++ }
+
+// runObsSuite measures the instrumentation overhead on the dense
+// butterfly (the zero-alloc shape) and the hard mesh: the same warmed
+// engine with nothing attached ("disabled", gated at 0 allocs/step), an
+// obs.Collector feeding a summing probe ("probe"), and additionally a
+// 4096-event lifecycle ring ("probe+lifecycle"). overhead_pct relates
+// each mode's fastest rep to the disabled row's.
+func runObsSuite(d *Doc) error {
+	cases := engineCases(d.Scale)
+	for _, c := range []engineCase{cases[0], cases[2]} {
+		p, err := c.build()
+		if err != nil {
+			return fmt.Errorf("bench: %s: %w", c.name, err)
+		}
+		e := sim.NewEngine(p, c.route(), 1)
+		coll := obs.NewCollector(nil, &summingProbe{})
+		ring := obs.NewLifecycle(4096)
+		modes := []struct {
+			name   string
+			attach func(*sim.Engine)
+		}{
+			{"disabled", nil},
+			{"probe", coll.Attach},
+			{"probe+lifecycle", func(e *sim.Engine) {
+				coll.Attach(e)
+				ring.Attach(e)
+			}},
+		}
+		var base float64
+		for _, m := range modes {
+			row, err := measure(c.name+"/"+m.name, enginePass(e, m.attach))
+			if err != nil {
+				return err
+			}
+			row.Gated = m.attach == nil
+			if row.Gated {
+				base = row.Best()
+			} else if base > 0 {
+				row.Metrics["overhead_pct"] = 100 * (row.Best() - base) / base
+			}
+			d.Rows = append(d.Rows, row)
+		}
+	}
+	return nil
+}
+
+// Read loads a recorded BENCH_*.json document.
+func Read(path string) (*Doc, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var d Doc
+	if err := json.Unmarshal(data, &d); err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", path, err)
+	}
+	return &d, nil
+}
+
+// Write stores d at path as indented JSON.
+func Write(path string, d *Doc) error {
+	data, err := json.MarshalIndent(d, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// CheckStrictAllocs is the zero-allocation gate: every gated row of a
+// warmed engine must record exactly 0 allocs/step.
+func CheckStrictAllocs(d *Doc) error {
+	for _, r := range d.Rows {
+		if r.Gated && r.AllocsPerStep > 0 {
+			return fmt.Errorf("bench: gated row %s allocated %.4f allocs/step; want 0", r.Name, r.AllocsPerStep)
+		}
+	}
+	return nil
+}
+
+// Compare is the regression gate: every row matched by name between the
+// committed baseline and the current document must not regress its
+// fastest ns/step by more than tolerance (fractional; 0.10 = 10%). Rows
+// on one side only are ignored (names scale with the suite's scale).
+// Documents of a different suite or scale compare nothing, with a
+// warning. Parallel rows compare only when both documents ran under the
+// same GOMAXPROCS — otherwise the wall-clock difference is the machine,
+// not the code — and are skipped with a warning when they did not.
+func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
+	if baseline.Suite != current.Suite || baseline.Scale != current.Scale {
+		return []string{fmt.Sprintf("baseline %s scale %d != current %s scale %d; nothing compared",
+			baseline.Suite, baseline.Scale, current.Suite, current.Scale)}, nil
+	}
+	base := make(map[string]Row, len(baseline.Rows))
+	for _, r := range baseline.Rows {
+		base[r.Name] = r
+	}
+	var warnings []string
+	for _, r := range current.Rows {
+		b, ok := base[r.Name]
+		old, cur := b.Best(), r.Best()
+		if !ok || old <= 0 || cur <= 0 {
+			continue
+		}
+		if r.Metrics["workers"] > 1 && baseline.GOMAXPROCS != current.GOMAXPROCS {
+			warnings = append(warnings, fmt.Sprintf("row %s: baseline gomaxprocs=%d vs current %d; parallel wall-clock not comparable, skipped",
+				r.Name, baseline.GOMAXPROCS, current.GOMAXPROCS))
+			continue
+		}
+		if cur > old*(1+tolerance) {
+			return warnings, fmt.Errorf("bench: regression on %s: %.2f ns/step vs baseline %.2f (+%.1f%%, tolerance %.0f%%)",
+				r.Name, cur, old, 100*(cur/old-1), 100*tolerance)
+		}
+	}
+	return warnings, nil
+}
+
+// CheckParallelSpeedup is the multi-core gate: every row recorded at
+// the given worker count must reach minSpeedup over its workers=1 row.
+// It errors when no such row was recorded (e.g. the host could not
+// schedule that many workers), so a misconfigured runner cannot pass.
+func CheckParallelSpeedup(d *Doc, workers int, minSpeedup float64) error {
+	found := false
+	suffix := fmt.Sprintf("/workers=%d", workers)
+	for _, r := range d.Rows {
+		if !strings.HasSuffix(r.Name, suffix) {
+			continue
+		}
+		found = true
+		speedup := r.Metrics["speedup_vs_1"]
+		if speedup <= 0 {
+			return fmt.Errorf("bench: row %s has no speedup_vs_1 (missing workers=1 counterpart?)", r.Name)
+		}
+		if speedup < minSpeedup {
+			return fmt.Errorf("bench: %s reached only %.2fx vs workers=1 (efficiency %.2f); gate requires ≥%.2fx",
+				r.Name, speedup, r.Metrics["parallel_efficiency"], minSpeedup)
+		}
+	}
+	if !found {
+		return fmt.Errorf("bench: no workers=%d row recorded (gomaxprocs=%d, skipped_workers=%v); cannot certify parallel speedup",
+			workers, d.GOMAXPROCS, d.SkippedWorkers)
+	}
+	return nil
+}

@@ -48,7 +48,7 @@ func (t Tolerances) normalize() Tolerances {
 }
 
 // CompareCampaign is the distribution-level regression gate, the
-// campaign analogue of bench.CompareEngineBench: every cell present in
+// campaign analogue of bench.Compare: every cell present in
 // both documents must agree on its delivery-time quantiles (relative,
 // per Tolerances.Quantile) and its drop rate (absolute, per
 // Tolerances.DropRate). Cells on only one side produce warnings, as

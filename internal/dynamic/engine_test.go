@@ -291,12 +291,22 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 	}
 
 	cases := map[string]func(*persist.EngineState){
-		"bad version":      func(s *persist.EngineState) { s.Version = 99 },
-		"bad kind":         func(s *persist.EngineState) { s.Kind = "campaign-checkpoint" },
-		"node range":       func(s *persist.EngineState) { s.Packets[0].Cur = 10_000 },
-		"edge range":       func(s *persist.EngineState) { s.Packets[0].Path[0] = 10_000 },
-		"empty path":       func(s *persist.EngineState) { s.Packets[0].Path = nil },
-		"broken path":      func(s *persist.EngineState) { s.Packets[0].Dst = s.Packets[0].Cur },
+		"bad version": func(s *persist.EngineState) { s.Version = 99 },
+		"bad kind":    func(s *persist.EngineState) { s.Kind = "campaign-checkpoint" },
+		"node range":  func(s *persist.EngineState) { s.Packets[0].Cur = 10_000 },
+		"edge range":  func(s *persist.EngineState) { s.Packets[0].Path[0] = 10_000 },
+		"empty path":  func(s *persist.EngineState) { s.Packets[0].Path = nil },
+		"broken path": func(s *persist.EngineState) { s.Packets[0].Dst = s.Packets[0].Cur },
+		// A queued path that does not leave its source used to pass
+		// restore and panic the first step that injected it.
+		"retry path off src": func(s *persist.EngineState) {
+			p := s.Packets[0]
+			s.RetryQ = append(s.RetryQ, persist.RetryState{Src: p.Dst, Dst: p.Dst, Path: p.Path, Attempts: 1})
+		},
+		"pending path off src": func(s *persist.EngineState) {
+			p := s.Packets[0]
+			s.Pending = append(s.Pending, persist.PendingState{Src: p.Dst, Dst: p.Dst, Path: p.Path})
+		},
 		"dup packet id":    func(s *persist.EngineState) { s.Packets = append(s.Packets, s.Packets[0]); s.Admitted++ },
 		"count mismatch":   func(s *persist.EngineState) { s.Delivered++ },
 		"negative counter": func(s *persist.EngineState) { s.Deflections = -1 },

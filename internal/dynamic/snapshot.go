@@ -202,21 +202,9 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 		if int(ps.Cur) >= g.NumNodes() || int(ps.Dst) >= g.NumNodes() || ps.Cur < 0 || ps.Dst < 0 {
 			return nil, fmt.Errorf("dynamic: restore: packet %d at/for unknown node", ps.ID)
 		}
-		path, err := wireToEdges(g, ps.Path)
+		path, err := walkable(g, ps.Cur, ps.Dst, ps.Path)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: restore: packet %d: %w", ps.ID, err)
-		}
-		// The remaining path must be walkable from Cur: each edge
-		// incident to the position the previous one leads to.
-		pos := graph.NodeID(ps.Cur)
-		for hop, ed := range path {
-			if g.Edge(ed).From != pos && g.Edge(ed).To != pos {
-				return nil, fmt.Errorf("dynamic: restore: packet %d path hop %d not incident to node %d", ps.ID, hop, pos)
-			}
-			pos = g.EndpointAt(ed, g.DirectionFrom(ed, pos))
-		}
-		if pos != graph.NodeID(ps.Dst) {
-			return nil, fmt.Errorf("dynamic: restore: packet %d path ends at %d, not its destination %d", ps.ID, pos, ps.Dst)
 		}
 		if ps.ArrivalEdge != -1 && (int(ps.ArrivalEdge) >= g.NumEdges() || ps.ArrivalEdge < 0) {
 			return nil, fmt.Errorf("dynamic: restore: packet %d arrival edge out of range", ps.ID)
@@ -245,12 +233,12 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 	}
 	for i := range st.RetryQ {
 		rs := &st.RetryQ[i]
-		path, err := wireToEdges(g, rs.Path)
-		if err != nil {
-			return nil, fmt.Errorf("dynamic: restore: retry entry %d: %w", i, err)
-		}
 		if int(rs.Src) >= g.NumNodes() || rs.Src < 0 || int(rs.Dst) >= g.NumNodes() || rs.Dst < 0 {
 			return nil, fmt.Errorf("dynamic: restore: retry entry %d references unknown node", i)
+		}
+		path, err := walkable(g, rs.Src, rs.Dst, rs.Path)
+		if err != nil {
+			return nil, fmt.Errorf("dynamic: restore: retry entry %d: %w", i, err)
 		}
 		e.retryQ = append(e.retryQ, retryEntry{
 			tenant: e.internTenant(rs.Tenant), src: graph.NodeID(rs.Src), dst: graph.NodeID(rs.Dst),
@@ -265,7 +253,7 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 				return nil, fmt.Errorf("dynamic: restore: pending entry %d references unknown node", i)
 			}
 			if len(ps.Path) > 0 {
-				path, err := wireToEdges(g, ps.Path)
+				path, err := walkable(g, ps.Src, ps.Dst, ps.Path)
 				if err != nil {
 					return nil, fmt.Errorf("dynamic: restore: pending entry %d: %w", i, err)
 				}
@@ -300,6 +288,28 @@ func edgesToWire(path []graph.EdgeID) []int32 {
 		out[i] = int32(ed)
 	}
 	return out
+}
+
+// walkable decodes a wire path and checks it leads from src to dst:
+// each edge incident to the node the previous one reaches. Step trusts
+// this of every path it injects or advances, so a restore that skipped
+// the check would panic a later step instead of failing here.
+func walkable(g *graph.Leveled, src, dst int32, wire []int32) ([]graph.EdgeID, error) {
+	path, err := wireToEdges(g, wire)
+	if err != nil {
+		return nil, err
+	}
+	pos := graph.NodeID(src)
+	for hop, ed := range path {
+		if g.Edge(ed).From != pos && g.Edge(ed).To != pos {
+			return nil, fmt.Errorf("path hop %d not incident to node %d", hop, pos)
+		}
+		pos = g.EndpointAt(ed, g.DirectionFrom(ed, pos))
+	}
+	if pos != graph.NodeID(dst) {
+		return nil, fmt.Errorf("path ends at %d, not its destination %d", pos, dst)
+	}
+	return path, nil
 }
 
 func wireToEdges(g *graph.Leveled, wire []int32) ([]graph.EdgeID, error) {

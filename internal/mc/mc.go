@@ -76,7 +76,7 @@ type Options struct {
 	// FreshEngines rebuilds the engine for every trial instead of
 	// resetting one reusable engine per worker — the pre-reuse
 	// behavior, kept for benchmarking the reuse gain (see
-	// bench.RunEngineBench's ensemble row).
+	// the ensemble row of bench.Run("engine", ...)).
 	FreshEngines bool
 	// Observe, when non-nil, supplies per-trial observability probes:
 	// it is called once per trial with that trial's seed, and the

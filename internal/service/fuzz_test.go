@@ -6,6 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"hotpotato/internal/dynamic"
+	"hotpotato/internal/persist"
+	"hotpotato/internal/topo"
 )
 
 // FuzzBatchRequest posts an arbitrary body to the batches endpoint of a
@@ -76,4 +80,95 @@ func FuzzBatchRequest(f *testing.F) {
 			t.Fatalf("engine ledger: %+v", st)
 		}
 	})
+}
+
+// FuzzReadServiceSnapshot feeds arbitrary bytes through the restore
+// path: ReadServiceSnapshot, Restore, Advance and Snapshot must never
+// panic. The first restore may change bytes (defaults fill in: a zero
+// max_inflight comes back as 4096), but what it snapshots is a fixed
+// point — restoring that and snapshotting again must reproduce it byte
+// for byte. Auto-step topologies step on their own between restore and
+// snapshot, so only the panic check applies to them.
+func FuzzReadServiceSnapshot(f *testing.F) {
+	g, err := topo.Butterfly(3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := New([]TopologyConfig{{
+		Name:    "b3",
+		Network: g,
+		Engine: dynamic.Config{
+			Seed: 7, Window: 10,
+			Retry: dynamic.RetryPolicy{MaxAttempts: 4, BaseDelay: 1, MaxDelay: 4},
+		},
+		Tenants: []TenantQuota{{Name: "gold", Rate: 100, Burst: 100}},
+	}}, Options{Now: newFakeClock().now})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.SubmitBatch("b3", BatchRequest{Tenant: "gold", Random: 12}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := s.Advance("b3", 3); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := snapshotBytes(s)
+	s.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := persist.ReadServiceSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		s1, err := Restore(snap, Options{Now: newFakeClock().now})
+		if err != nil {
+			return
+		}
+		defer s1.Close()
+		auto := false
+		for _, ts := range snap.Topologies {
+			auto = auto || ts.AutoStep
+		}
+		for _, name := range s1.Names() {
+			// A step error stops the topology; Snapshot reports it.
+			_, _ = s1.Advance(name, 3)
+		}
+		first, err := snapshotBytes(s1)
+		if err != nil || auto {
+			return
+		}
+		snap2, err := persist.ReadServiceSnapshot(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("service wrote a snapshot it cannot read: %v", err)
+		}
+		s2, err := Restore(snap2, Options{Now: newFakeClock().now})
+		if err != nil {
+			t.Fatalf("service cannot restore its own snapshot: %v", err)
+		}
+		defer s2.Close()
+		second, err := snapshotBytes(s2)
+		if err != nil {
+			t.Fatalf("restored service cannot snapshot: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("restore->snapshot is not a fixed point:\nfirst  %s\nsecond %s", first, second)
+		}
+	})
+}
+
+// snapshotBytes serializes s's snapshot in the wire form.
+func snapshotBytes(s *Service) ([]byte, error) {
+	snap, err := s.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = persist.WriteServiceSnapshot(&buf, snap)
+	return buf.Bytes(), err
 }
