@@ -35,7 +35,8 @@ selfcheck:
 cover:
 	$(GO) test -cover ./...
 
-# Brief fuzzing session over the input parsers, the levelizer and the
+# Brief fuzzing session over the input parsers (problems, networks,
+# checkpoints, fault specs, tenant tables), the levelizer and the
 # snapshot restore path (the same targets as CI's fuzz-smoke job).
 # Snapshot inputs are kilobytes of JSON; minimising each new one for the
 # default 60s would eat the whole session.
@@ -44,6 +45,8 @@ fuzz:
 	$(GO) test -fuzz FuzzReadNetwork -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReadCampaignCheckpoint -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzLevelize -fuzztime 30s ./internal/topo/
+	$(GO) test -fuzz FuzzFaultSpec -fuzztime 30s ./internal/faults/
+	$(GO) test -fuzz FuzzParseTenants -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzReadServiceSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/service/
 

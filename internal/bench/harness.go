@@ -494,7 +494,7 @@ type dynScript struct {
 }
 
 // runDynamicSuite measures the dynamic engine on the service-smoke
-// butterfly (scale 1) plus a larger butterfly and a faulted variant
+// butterfly (scale 1) plus two larger butterflies and a faulted variant
 // (scale 2) — the manual-stepped shape scripts/service_smoke.sh drives
 // through the HTTP API, minus the HTTP.
 func runDynamicSuite(d *Doc) error {
@@ -506,6 +506,9 @@ func runDynamicSuite(d *Doc) error {
 	if d.Scale >= 2 {
 		scripts = append(scripts,
 			dynScript{name: "butterfly(7)-service", k: 7, batches: 48, batchSize: 32, advance: 5},
+			// The smallest butterfly whose count rows overflowed the
+			// old int64 table budget, so its draws recounted per packet.
+			dynScript{name: "butterfly(8)-service", k: 8, batches: 48, batchSize: 64, advance: 5},
 			dynScript{name: "butterfly(5)-service-faulted", k: 5, batches: 24, batchSize: 16, advance: 5, faulted: true},
 		)
 	}

@@ -1,0 +1,57 @@
+package dynamic
+
+import (
+	"fmt"
+	"testing"
+
+	"hotpotato/internal/topo"
+)
+
+// engineSink keeps the benchmarked builds observable.
+var engineSink *Engine
+
+// BenchmarkNewEngine builds a service engine — the count rows, the
+// reachability lists and the packet columns — as every snapshot restore
+// does.
+func BenchmarkNewEngine(b *testing.B) {
+	for _, k := range []int{7, 8} {
+		b.Run(fmt.Sprintf("butterfly(%d)", k), func(b *testing.B) {
+			g, err := topo.Butterfly(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e, err := NewEngine(g, Config{Seed: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				engineSink = e
+			}
+		})
+	}
+}
+
+// BenchmarkSubmitStep times one step of a butterfly(8) service engine
+// fed 60 random packets a step: the path draws for those packets plus
+// the step that routes them.
+func BenchmarkSubmitStep(b *testing.B) {
+	g, err := topo.Butterfly(8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := NewEngine(g, Config{Seed: 1, Retry: RetryPolicy{MaxAttempts: 8}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.SubmitRandom("bench", 60); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -54,19 +54,15 @@ type Engine struct {
 	src *sm64
 	rng *rand.Rand
 
+	// sources are the nodes with a forward-reachable destination, in ID
+	// order; reach lists those destinations per node.
 	sources []graph.NodeID
-	dstsOf  [][]graph.NodeID
+	reach   *paths.Reach
 
-	// sampler reuses one forward-path-count scratch across all path
-	// draws (λ-arrivals and pending injections).
-	sampler paths.ForwardPathSampler
-
-	// pathCnt[d] is the precomputed paths.CountsTo table for eligible
-	// destination d (nil = not precomputed; drawPath then falls back to
-	// the counting sampler). The table depends only on d, so computing
-	// the rows once at construction takes the O(V+E) counting pass off
-	// the injection hot path.
-	pathCnt [][]int64
+	// counts holds one forward-path-count row per destination (every
+	// node with a Down edge, within paths.MaxCountBytes), so a path draw
+	// walks a precomputed row instead of running an O(V+E) counting pass.
+	counts *paths.CountTable
 
 	// Packet columns, indexed by slot. A slot is recycled through free
 	// when its packet delivers; its path buffer stays with the slot so
@@ -156,14 +152,17 @@ const (
 // installed path so the first deflections prepend in place.
 const pathHeadroom = 8
 
-// foldDigest folds one 64-bit word into the FNV-1a running digest.
+// foldDigest folds one 64-bit word into the FNV-1a running digest, one
+// byte at a time from the least significant.
 func foldDigest(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime64
-		x >>= 8
-	}
-	return h
+	h = (h ^ x&0xff) * fnvPrime64
+	h = (h ^ x>>8&0xff) * fnvPrime64
+	h = (h ^ x>>16&0xff) * fnvPrime64
+	h = (h ^ x>>24&0xff) * fnvPrime64
+	h = (h ^ x>>32&0xff) * fnvPrime64
+	h = (h ^ x>>40&0xff) * fnvPrime64
+	h = (h ^ x>>48&0xff) * fnvPrime64
+	return (h ^ x>>56) * fnvPrime64
 }
 
 // NewEngine validates the configuration and builds a ready engine.
@@ -199,57 +198,21 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	}
 	e.rng = rand.New(e.src)
 
-	// Eligible sources and their reachable destination lists.
+	// Count a row for every destination; each node's reachable
+	// destinations are read off the counts, and the eligible sources are
+	// the nodes that reach any.
+	e.counts = paths.NewCountTable(g)
+	e.reach = e.counts.CountAll()
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if g.Node(v).Level < g.Depth() && len(g.Node(v).Up) > 0 {
+		if len(e.reach.From(v)) > 0 {
 			e.sources = append(e.sources, v)
 		}
 	}
 	if len(e.sources) == 0 {
 		return nil, fmt.Errorf("dynamic: network has no eligible sources")
 	}
-	e.dstsOf = make([][]graph.NodeID, g.NumNodes())
-	for _, s := range e.sources {
-		reach := g.ForwardReachableFrom(s)
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			if v != s && reach[v] {
-				e.dstsOf[s] = append(e.dstsOf[s], v)
-			}
-		}
-	}
 
 	nn, ne := g.NumNodes(), g.NumEdges()
-
-	// Per-destination forward-path-count tables: path draws weight each
-	// hop by the number of forward paths through it, and the table
-	// depends only on the destination — recomputing it per draw (an
-	// O(V+E) counting pass) dominated the injection phase. Precompute
-	// one row per eligible destination, carved from a single arena,
-	// unless the arena would exceed paths.MaxCountEntries (then drawPath
-	// falls back to the per-draw counting sampler).
-	eligibleDst := make([]bool, nn)
-	rows := 0
-	for _, s := range e.sources {
-		for _, d := range e.dstsOf[s] {
-			if !eligibleDst[d] {
-				eligibleDst[d] = true
-				rows++
-			}
-		}
-	}
-	e.pathCnt = make([][]int64, nn)
-	if entries := rows * nn; entries > 0 && entries <= paths.MaxCountEntries {
-		arena := make([]int64, entries)
-		row := 0
-		for d, ok := range eligibleDst {
-			if !ok {
-				continue
-			}
-			e.pathCnt[d] = paths.CountsTo(g, graph.NodeID(d), arena[row*nn:(row+1)*nn])
-			row++
-		}
-	}
-
 	e.atOff = make([]int32, nn+1)
 	for v := 0; v < nn; v++ {
 		e.atOff[v+1] = e.atOff[v] + int32(g.Node(graph.NodeID(v)).Degree())
@@ -273,7 +236,9 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	// cap and the occupancy invariant (sum over v of occ(v) <= deg(v)
 	// is 2|E|), so the packet columns can be built at full size up
 	// front, every slot pre-fitted with a path buffer that holds a
-	// maximal forward path (depth edges) plus deflection headroom.
+	// maximal forward path (depth edges) plus deflection headroom. The
+	// buffers are carved from one backing array, each capped so a slot
+	// that outgrows its own reallocates instead of spilling into the next.
 	maxSlots := cfg.MaxInFlight
 	if bound := 2 * ne; bound < maxSlots {
 		maxSlots = bound
@@ -293,10 +258,11 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	e.grantSlot = make([]int32, maxSlots)
 	e.stallEpoch = make([]uint32, maxSlots)
 	e.free = make([]int32, 0, maxSlots)
+	pathArena := make([]graph.EdgeID, maxSlots*pathCap)
 	for s := maxSlots - 1; s >= 0; s-- {
 		e.pArrEdge[s] = -1
 		e.pTenant[s] = -1
-		e.pBuf[s] = make([]graph.EdgeID, pathCap)
+		e.pBuf[s] = pathArena[s*pathCap : (s+1)*pathCap : (s+1)*pathCap]
 		e.free = append(e.free, int32(s)) // pops yield 0, 1, 2, ...
 	}
 	e.live = make([]int32, 0, maxSlots)
@@ -357,14 +323,7 @@ func (e *Engine) Submit(tenant string, src, dst graph.NodeID) error {
 	if int(src) < 0 || int(src) >= e.g.NumNodes() || int(dst) < 0 || int(dst) >= e.g.NumNodes() {
 		return fmt.Errorf("dynamic: submit: node out of range")
 	}
-	reachable := false
-	for _, d := range e.dstsOf[src] {
-		if d == dst {
-			reachable = true
-			break
-		}
-	}
-	if !reachable {
+	if !e.reach.Contains(src, dst) {
 		return fmt.Errorf("dynamic: submit: node %d cannot reach %d forward (or %d is not an eligible source)", src, dst, src)
 	}
 	e.offerPending(pendingEntry{tenant: e.internTenant(tenant), src: src, dst: dst})
@@ -421,12 +380,9 @@ func (e *Engine) offerPending(en pendingEntry) {
 
 // drawPath samples a forward src→dst path into a pooled buffer — the
 // RNG consumption of paths.RandomForwardPath, minus its counting pass
-// whenever dst has a precomputed table.
+// whenever dst has a kept row.
 func (e *Engine) drawPath(src, dst graph.NodeID) ([]graph.EdgeID, error) {
-	if cnt := e.pathCnt[dst]; cnt != nil {
-		return paths.AppendPathCounted(e.g, e.rng, src, dst, cnt, e.borrowQBuf())
-	}
-	return e.sampler.AppendPath(e.g, e.rng, src, dst, e.borrowQBuf())
+	return e.counts.AppendPath(e.rng, src, dst, e.borrowQBuf())
 }
 
 // borrowQBuf takes a pooled path backing for a pending/retry entry.
@@ -687,14 +643,7 @@ func (e *Engine) Step() error {
 			en := e.pending[i]
 			if en.random {
 				s := e.sources[e.rng.Intn(len(e.sources))]
-				cands := e.dstsOf[s]
-				if len(cands) == 0 {
-					// A source with no forward-reachable destination is
-					// excluded from e.sources only if it has no Up edges;
-					// levelized builders guarantee candidates, but guard.
-					e.dropPacket(en.tenant)
-					continue
-				}
+				cands := e.reach.From(s)
 				en.src, en.dst = s, cands[e.rng.Intn(len(cands))]
 				en.random = false
 			}
@@ -731,10 +680,7 @@ func (e *Engine) Step() error {
 				continue
 			}
 			res.Offered++
-			cands := e.dstsOf[s]
-			if len(cands) == 0 {
-				continue
-			}
+			cands := e.reach.From(s)
 			dst := cands[e.rng.Intn(len(cands))]
 			path, err := e.drawPath(s, dst)
 			if err != nil {

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hotpotato/internal/graph"
@@ -339,6 +341,54 @@ func TestModelsAreSeedDeterministic(t *testing.T) {
 		}
 		if !differs {
 			t.Errorf("%s: seed has no effect", c.Name())
+		}
+	}
+}
+
+// TestParseRejectsOutOfRange checks that values a campaign would clamp
+// or turn into a silent no-op are errors naming the offending clause,
+// also inside an overlay.
+func TestParseRejectsOutOfRange(t *testing.T) {
+	for _, clause := range []string{
+		"flap:period=0",
+		"flap:period=-5",
+		"flap:period=1",
+		"flap:period=10,down=0",
+		"flap:period=10,down=10",
+		"flap:period=10,rate=0",
+		"flap:period=10,rate=1.5",
+		"flap:period=10,rate=-0.2",
+		"flap:period=10,rate=nan",
+		"flap:period=10,rate=inf",
+		"ge:down=0",
+		"ge:down=1",
+		"ge:down=-inf",
+		"ge:down=0.1,burst=0",
+		"hash:rate=nan",
+		"hash:rate=Inf",
+		"hash:rate=0",
+		"hash:rate=2",
+		"hash:rate=0.1,window=0",
+		"band:lo=5,hi=1,to=10",
+		"band:lo=2,hi=2,to=10",
+		"band:lo=-1,hi=2,to=10",
+		"band:hi=3,from=10,to=10",
+		"band:hi=3,to=10,rate=NaN",
+		"node:node=-1,to=10",
+		"node:node=3,from=-4,to=10",
+		"node:node=3,from=20,to=10",
+		"linkdown:edge=-2,to=10",
+		"linkdown:edge=1,from=5,to=5",
+	} {
+		for _, spec := range []string{clause, "flap:period=50,down=5+" + clause} {
+			c, err := Parse(spec)
+			if err == nil {
+				t.Errorf("Parse(%q) accepted %s", spec, c.Name())
+				continue
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", clause)) {
+				t.Errorf("Parse(%q): error %q does not name clause %q", spec, err, clause)
+			}
 		}
 	}
 }

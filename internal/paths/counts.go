@@ -1,0 +1,316 @@
+package paths
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+
+	"hotpotato/internal/graph"
+)
+
+// satCap saturates forward-path counts: a count past it is stored as
+// satCap, so draws stay exactly uniform below it and near-uniform above.
+const satCap = 1 << 40
+
+// MaxCountBytes bounds the count rows one CountTable keeps at once:
+// batch path selection and the open-system engine both keep rows while
+// their total size stays within it and recount later destinations per
+// draw instead.
+const MaxCountBytes = 32 << 20
+
+// MaxCountEntries is MaxCountBytes in full-width (8-byte) entries: rows
+// totalling at most this many entries fit whatever their widths.
+const MaxCountEntries = MaxCountBytes / 8
+
+// countWord is a count row's entry type; a row uses the narrowest one
+// that holds its largest saturated count.
+type countWord interface {
+	uint8 | uint16 | uint32 | uint64
+}
+
+// countRow locates one destination's kept row: entries of width bytes
+// starting at entry off of that width's arena. width 0 = no row kept.
+type countRow struct {
+	off   int32
+	width uint8
+}
+
+// CountTable holds saturating forward-path counts, one row per
+// destination: row d, entry v is the number of forward paths from v to
+// d (capped at 2^40), which is positive exactly when v forward-reaches
+// d. Each row is stored at the narrowest width (1, 2, 4 or 8 bytes)
+// that holds its largest count — on a butterfly every count is 0 or 1 —
+// carved from one arena per width. Rows are kept while their total
+// size stays within the byte budget; a destination past it is recounted
+// into a full-width scratch row whenever it is drawn to. A row is a
+// pure function of its destination, so every caching outcome draws the
+// same paths with the same RNG consumption.
+//
+// Not safe for concurrent use.
+type CountTable struct {
+	g      *graph.Leveled
+	budget int // bytes
+	used   int
+	rows   []countRow // by destination; nil until a row is kept
+
+	w1 []uint8
+	w2 []uint16
+	w4 []uint32
+	w8 []uint64
+
+	// scratch holds the full-width counts to scratchDst (NoNode: none);
+	// cone lists the nodes where they are nonzero.
+	scratch    []uint64
+	scratchDst graph.NodeID
+	cone       []graph.NodeID
+}
+
+// NewCountTable returns an empty table over g that keeps rows within
+// MaxCountBytes.
+func NewCountTable(g *graph.Leveled) *CountTable {
+	return newCountTable(g, MaxCountBytes)
+}
+
+func newCountTable(g *graph.Leveled, budget int) *CountTable {
+	return &CountTable{g: g, budget: budget, scratchDst: graph.NoNode}
+}
+
+// count fills the scratch with the counts to dst and returns their
+// maximum. It walks only dst's backward cone — the nodes that reach it,
+// listed in t.cone level by level from dst down — pushing each node's
+// count to the nodes one level below it: every node of a level is final
+// before the level below it is read. The previous cone is cleared
+// first, so every entry outside the new one is 0.
+func (t *CountTable) count(dst graph.NodeID) uint64 {
+	g := t.g
+	if t.scratch == nil {
+		t.scratch = make([]uint64, g.NumNodes())
+	}
+	cnt := t.scratch
+	for _, v := range t.cone {
+		cnt[v] = 0
+	}
+	t.scratchDst = dst
+	t.cone = append(t.cone[:0], dst)
+	cnt[dst] = 1
+	top := uint64(1)
+	for i := 0; i < len(t.cone); i++ {
+		u := t.cone[i]
+		c := cnt[u]
+		top = max(top, c)
+		for _, e := range g.Node(u).Down {
+			w := g.EndpointAt(e, graph.Backward)
+			if cnt[w] == 0 {
+				t.cone = append(t.cone, w)
+			}
+			cnt[w] = min(cnt[w]+c, satCap)
+		}
+	}
+	return top
+}
+
+// widthFor is the narrowest entry width that holds top.
+func widthFor(top uint64) uint8 {
+	switch {
+	case top <= 0xff:
+		return 1
+	case top <= 0xffff:
+		return 2
+	case top <= 0xffffffff:
+		return 4
+	}
+	return 8
+}
+
+// keep stores the scratch counts to dst as a row of width w when the
+// budget allows.
+func (t *CountTable) keep(dst graph.NodeID, w uint8) {
+	nn := t.g.NumNodes()
+	if t.used+nn*int(w) > t.budget {
+		return
+	}
+	if t.rows == nil {
+		t.rows = make([]countRow, nn)
+	}
+	var off int
+	switch w {
+	case 1:
+		off, t.w1 = appendRow(t.w1, t.scratch, t.cone)
+	case 2:
+		off, t.w2 = appendRow(t.w2, t.scratch, t.cone)
+	case 4:
+		off, t.w4 = appendRow(t.w4, t.scratch, t.cone)
+	default:
+		off, t.w8 = appendRow(t.w8, t.scratch, t.cone)
+	}
+	t.rows[dst] = countRow{off: int32(off), width: w}
+	t.used += nn * int(w)
+}
+
+// appendRow appends a zeroed row of len(cnt) entries to arena, copies
+// the nonzero counts — those on the cone — into it, and returns the
+// row's offset and the grown arena.
+func appendRow[T countWord](arena []T, cnt []uint64, cone []graph.NodeID) (int, []T) {
+	off := len(arena)
+	arena = append(arena, make([]T, len(cnt))...)
+	for _, v := range cone {
+		arena[off+int(v)] = T(cnt[v])
+	}
+	return off, arena
+}
+
+// ensure makes dst's counts readable: a kept row, or else the scratch
+// (counting dst once and keeping its row if the budget allows).
+func (t *CountTable) ensure(dst graph.NodeID) {
+	if t.rowOf(dst).width != 0 || t.scratchDst == dst {
+		return
+	}
+	t.keep(dst, widthFor(t.count(dst)))
+}
+
+// at returns the saturated number of forward paths from v to dst.
+func (t *CountTable) at(dst, v graph.NodeID) uint64 {
+	t.ensure(dst)
+	r := t.rowOf(dst)
+	i := int(r.off) + int(v)
+	switch r.width {
+	case 1:
+		return uint64(t.w1[i])
+	case 2:
+		return uint64(t.w2[i])
+	case 4:
+		return uint64(t.w4[i])
+	case 8:
+		return t.w8[i]
+	}
+	return t.scratch[v]
+}
+
+func (t *CountTable) rowOf(dst graph.NodeID) countRow {
+	if t.rows == nil {
+		return countRow{}
+	}
+	return t.rows[dst]
+}
+
+// AppendPath appends a forward src→dst path drawn uniformly over the
+// forward paths (exactly while counts stay below 2^40) to buf and
+// returns the extended slice. The draw weights each hop by the count of
+// forward paths through it: one rng.Int63n per hop, the same
+// consumption whatever the row width or whether dst's row is kept.
+func (t *CountTable) AppendPath(rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error) {
+	if src == dst {
+		return nil, fmt.Errorf("paths: src == dst == %d; zero-length routing requests are not packets", src)
+	}
+	ls, ld := t.g.LevelOf(src), t.g.LevelOf(dst)
+	if ld <= ls {
+		return nil, fmt.Errorf("paths: dst level %d not above src level %d", ld, ls)
+	}
+	t.ensure(dst)
+	r := t.rowOf(dst)
+	nn := t.g.NumNodes()
+	lo, hi := int(r.off), int(r.off)+nn
+	switch r.width {
+	case 1:
+		return drawPath(t.g, rng, src, dst, t.w1[lo:hi], buf)
+	case 2:
+		return drawPath(t.g, rng, src, dst, t.w2[lo:hi], buf)
+	case 4:
+		return drawPath(t.g, rng, src, dst, t.w4[lo:hi], buf)
+	case 8:
+		return drawPath(t.g, rng, src, dst, t.w8[lo:hi], buf)
+	}
+	return drawPath(t.g, rng, src, dst, t.scratch, buf)
+}
+
+// drawPath walks from src to dst, picking each next hop with
+// probability proportional to its count in cnt. src and dst are on
+// distinct levels, dst above src.
+func drawPath[T countWord](g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, cnt []T, buf graph.Path) (graph.Path, error) {
+	if cnt[src] == 0 {
+		return nil, fmt.Errorf("paths: node %d cannot reach %d forward", src, dst)
+	}
+	cur := src
+	for cur != dst {
+		up := g.Node(cur).Up
+		var total int64
+		for _, e := range up {
+			total += int64(cnt[g.EndpointAt(e, graph.Forward)])
+		}
+		pick := rng.Int63n(total)
+		for _, e := range up {
+			next := g.EndpointAt(e, graph.Forward)
+			c := int64(cnt[next])
+			if pick < c {
+				buf = append(buf, e)
+				cur = next
+				break
+			}
+			pick -= c
+		}
+	}
+	return buf, nil
+}
+
+// Reach lists, for every node s, the destinations s forward-reaches
+// (s itself excluded) in ascending order, carved from one flat arena.
+type Reach struct {
+	off []int32 // From(s) = dst[off[s]:off[s+1]]
+	dst []graph.NodeID
+}
+
+// From returns the destinations s forward-reaches, ascending. The slice
+// is shared; do not mutate.
+func (r *Reach) From(s graph.NodeID) []graph.NodeID {
+	return r.dst[r.off[s]:r.off[s+1]]
+}
+
+// Contains reports whether s forward-reaches d ≠ s.
+func (r *Reach) Contains(s, d graph.NodeID) bool {
+	_, ok := slices.BinarySearch(r.From(s), d)
+	return ok
+}
+
+// CountAll counts a row for every node with a Down edge — exactly the
+// nodes some other node forward-reaches — in ascending ID order, keeping
+// rows while the budget lasts, and reads each node's reachable
+// destinations off the counts: s reaches d ≠ s when row d is positive
+// at s, that is when s is on d's cone. The lists are sized by the first
+// pass and filled by a second that walks each cone again: a cone walk
+// is cheap next to holding every cone between the passes.
+func (t *CountTable) CountAll() *Reach {
+	g := t.g
+	nn := g.NumNodes()
+	var dsts []graph.NodeID
+	for v := graph.NodeID(0); int(v) < nn; v++ {
+		if len(g.Node(v).Down) > 0 {
+			dsts = append(dsts, v)
+		}
+	}
+	if t.rows == nil {
+		t.w1 = make([]uint8, 0, min(len(dsts)*nn, t.budget-t.used))
+	}
+	r := &Reach{off: make([]int32, nn+1)}
+	for _, d := range dsts {
+		t.keep(d, widthFor(t.count(d)))
+		for _, v := range t.cone[1:] {
+			r.off[v+1]++
+		}
+	}
+	if len(t.w1) < cap(t.w1) {
+		t.w1 = slices.Clone(t.w1)
+	}
+	for v := 0; v < nn; v++ {
+		r.off[v+1] += r.off[v]
+	}
+	r.dst = make([]graph.NodeID, r.off[nn])
+	next := slices.Clone(r.off[:nn])
+	for _, d := range dsts {
+		t.count(d)
+		for _, v := range t.cone[1:] {
+			r.dst[next[v]] = d
+			next[v]++
+		}
+	}
+	return r
+}

@@ -1,0 +1,190 @@
+package paths
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"hotpotato/internal/graph"
+	"hotpotato/internal/topo"
+)
+
+// refPath draws a src→dst path from graph.CountForwardPaths — the
+// full-width counts, computed independently of CountTable — with the
+// weighted per-hop draw RandomForwardPath documents.
+func refPath(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID) graph.Path {
+	cnt := g.CountForwardPaths(dst, satCap)
+	var p graph.Path
+	for cur := src; cur != dst; {
+		var total int64
+		for _, e := range g.Node(cur).Up {
+			total += cnt[g.Edge(e).To]
+		}
+		pick := rng.Int63n(total)
+		for _, e := range g.Node(cur).Up {
+			if c := cnt[g.Edge(e).To]; pick >= c {
+				pick -= c
+				continue
+			}
+			p = append(p, e)
+			cur = g.Edge(e).To
+			break
+		}
+	}
+	return p
+}
+
+// TestCountRowWidths checks each row takes the narrowest width that
+// holds its largest count, and that draws on every width consume the
+// RNG exactly as RandomForwardPath and the full-width reference do.
+func TestCountRowWidths(t *testing.T) {
+	must := mustTopo(t)
+	bfly := must(topo.Butterfly(5))
+	cases := []struct {
+		name  string
+		g     *graph.Leveled
+		dst   graph.NodeID
+		width int
+		top   uint64 // count at the level-0 source of the draws
+	}{
+		// Every butterfly count is 0 or 1.
+		{"butterfly(5) top", bfly, bfly.Level(5)[7], 1, 1},
+		{"butterfly(5) mid", bfly, bfly.Level(3)[0], 1, 1},
+		// Mesh counts are binomials: C(2,1) = 2 to (1,1).
+		{"mesh(7,6) near", must(topo.Mesh(7, 6, topo.CornerNW)), topo.MeshNode(6, 1, 1), 1, 2},
+		// C(14,7) = 3432 to the far corner; the next hops' counts pass
+		// 255 too, so a truncated row would skew the draws.
+		{"mesh(8,8) far", must(topo.Mesh(8, 8, topo.CornerNW)), topo.MeshNode(8, 7, 7), 2, 3432},
+		// C(30,15) = 155117520.
+		{"mesh(16,16) far", must(topo.Mesh(16, 16, topo.CornerNW)), topo.MeshNode(16, 15, 15), 4, 155117520},
+		// C(46,23) ≈ 8.2e12 saturates at 2^40.
+		{"mesh(24,24) far", must(topo.Mesh(24, 24, topo.CornerNW)), topo.MeshNode(24, 23, 23), 8, satCap},
+	}
+	for _, c := range cases {
+		ct := NewCountTable(c.g)
+		src := c.g.Level(0)[0]
+		if got := ct.at(c.dst, src); got != c.top {
+			t.Errorf("%s: count at %d = %d, want %d", c.name, src, got, c.top)
+		}
+		if got := int(ct.rowOf(c.dst).width); got != c.width {
+			t.Errorf("%s: row width %d, want %d", c.name, got, c.width)
+		}
+		var srcs []graph.NodeID
+		for v := graph.NodeID(0); int(v) < c.g.NumNodes(); v++ {
+			if v != c.dst && ct.at(c.dst, v) > 0 {
+				srcs = append(srcs, v)
+			}
+		}
+		rt, rr, rw := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		for i := 0; i < 200; i++ {
+			s := srcs[i%len(srcs)]
+			got, err := ct.AppendPath(rt, s, c.dst, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			want, err := RandomForwardPath(c.g, rr, s, c.dst)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			ref := refPath(c.g, rw, s, c.dst)
+			if !slices.Equal(got, want) || !slices.Equal(got, ref) {
+				t.Fatalf("%s: draw %d from %d = %v, RandomForwardPath %v, reference %v", c.name, i, s, got, want, ref)
+			}
+		}
+		if a, b, r := rt.Int63(), rr.Int63(), rw.Int63(); a != b || a != r {
+			t.Fatalf("%s: next rng draws %d, %d, %d differ", c.name, a, b, r)
+		}
+	}
+}
+
+// reachTopologies covers the regular networks and an irregular DAG.
+func reachTopologies(t *testing.T) []*graph.Leveled {
+	must := mustTopo(t)
+	dag, _, err := topo.Levelize("dag", 48, topo.RandomDAG(rand.New(rand.NewSource(3)), 48, 0.12))
+	return []*graph.Leveled{
+		must(topo.Butterfly(5)),
+		must(topo.Benes(3)),
+		must(topo.Omega(4)),
+		must(topo.Mesh(7, 6, topo.CornerNW)),
+		must(dag, err),
+	}
+}
+
+// bfsReach is the definition CountAll must match: the nodes s reaches
+// forward, s excluded, in ascending order.
+func bfsReach(g *graph.Leveled, s graph.NodeID) []graph.NodeID {
+	reach := g.ForwardReachableFrom(s)
+	var out []graph.NodeID
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if v != s && reach[v] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestCountAllReach checks the reachability lists read off the rows
+// against per-source BFS, with every row kept and with a budget that
+// keeps only some, and that draws past the budget (recounted per draw)
+// match RandomForwardPath.
+func TestCountAllReach(t *testing.T) {
+	for _, g := range reachTopologies(t) {
+		full := NewCountTable(g)
+		for _, ct := range []*CountTable{full, newCountTable(g, 3*g.NumNodes())} {
+			reach := ct.CountAll()
+			name := fmt.Sprintf("%s/budget=%d", g.Name(), ct.budget)
+			if ct != full && ct.used == full.used {
+				t.Fatalf("%s: every row kept; the recount path is not exercised", name)
+			}
+			for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
+				got, want := reach.From(s), bfsReach(g, s)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: reach(%d) = %v, BFS %v", name, s, got, want)
+				}
+				for d := graph.NodeID(0); int(d) < g.NumNodes(); d++ {
+					if reach.Contains(s, d) != slices.Contains(want, d) {
+						t.Fatalf("%s: Contains(%d, %d) = %v", name, s, d, !slices.Contains(want, d))
+					}
+				}
+			}
+			rt, rr := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
+			for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
+				for _, d := range reach.From(s) {
+					got, err := ct.AppendPath(rt, s, d, nil)
+					if err != nil {
+						t.Fatalf("%s: %d→%d: %v", name, s, d, err)
+					}
+					want, _ := RandomForwardPath(g, rr, s, d)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: %d→%d drew %v, RandomForwardPath %v", name, s, d, got, want)
+					}
+				}
+			}
+		}
+		if full.used == 0 || full.used > MaxCountBytes {
+			t.Fatalf("%s: kept %d bytes of rows", g.Name(), full.used)
+		}
+	}
+}
+
+// TestCountTableBudget checks the byte budget: a kept row costs its
+// width times the node count, and a row that would pass the budget is
+// not kept.
+func TestCountTableBudget(t *testing.T) {
+	g := mustTopo(t)(topo.Mesh(7, 6, topo.CornerNW))
+	nn := g.NumNodes()
+	near, far := topo.MeshNode(6, 1, 1), topo.MeshNode(6, 6, 5)
+	ct := newCountTable(g, 2*nn)
+	ct.at(near, 0)
+	if ct.rowOf(near).width != 1 || ct.used != nn {
+		t.Fatalf("near row: width %d, %d bytes kept", ct.rowOf(near).width, ct.used)
+	}
+	if ct.at(far, 0) != 462 || ct.rowOf(far).width != 0 || ct.used != nn {
+		t.Fatalf("far row past the budget: width %d, %d bytes kept", ct.rowOf(far).width, ct.used)
+	}
+	// Drawing to the kept row after the scratch moved on still reads it.
+	if ct.at(near, 0) != 2 {
+		t.Fatalf("near row count %d after a scratch recount", ct.at(near, 0))
+	}
+}

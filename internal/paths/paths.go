@@ -122,151 +122,12 @@ func (s *PathSet) CheckOnePacketPerSource() error {
 // proportional to the number of forward paths through each next hop
 // (computed by counting with saturation), which is exactly uniform over
 // all forward src->dst paths whenever counts do not saturate. Returns
-// an error if dst is not forward-reachable from src.
+// an error if dst is not forward-reachable from src. Callers drawing
+// many paths share a CountTable instead, which counts each destination
+// once and draws identically.
 func RandomForwardPath(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID) (graph.Path, error) {
-	var s ForwardPathSampler
-	ls, ld := g.Node(src).Level, g.Node(dst).Level
-	var hint int
-	if ld > ls {
-		hint = ld - ls
-	}
-	return s.AppendPath(g, rng, src, dst, make(graph.Path, 0, hint))
-}
-
-// ForwardPathSampler draws random forward paths with the exact
-// distribution (and RNG consumption) of RandomForwardPath, but reuses
-// one path-count scratch buffer across draws so a warm sampler
-// allocates nothing. The open-system engine keeps one per engine: path
-// draws are on its injection hot path.
-//
-// Not safe for concurrent use; each goroutine needs its own sampler.
-type ForwardPathSampler struct {
-	cnt []int64
-}
-
-// AppendPath appends a sampled src→dst forward path to buf and returns
-// the extended slice. The draw sequence is identical to
-// RandomForwardPath: one rng.Int63n per hop, weighted by saturating
-// forward-path counts.
-func (s *ForwardPathSampler) AppendPath(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error) {
-	if src == dst {
-		return nil, fmt.Errorf("paths: src == dst == %d; zero-length routing requests are not packets", src)
-	}
-	ls, ld := g.Node(src).Level, g.Node(dst).Level
-	if ld <= ls {
-		return nil, fmt.Errorf("paths: dst level %d not above src level %d", ld, ls)
-	}
-	s.cnt = CountsTo(g, dst, s.cnt)
-	return AppendPathCounted(g, rng, src, dst, s.cnt, buf)
-}
-
-// CountsTo fills cnt with the saturating forward-path counts to dst —
-// CountForwardPaths(dst, 1<<40) — reusing the provided backing when
-// large enough, and returns the (possibly grown) slice. The table
-// depends only on dst, so callers drawing many paths to the same
-// destination compute it once and sample via AppendPathCounted.
-func CountsTo(g *graph.Leveled, dst graph.NodeID, cnt []int64) []int64 {
-	if len(cnt) < g.NumNodes() {
-		cnt = make([]int64, g.NumNodes())
-	} else {
-		cnt = cnt[:g.NumNodes()]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-	}
-	const satCap = 1 << 40
-	cnt[dst] = 1
-	for l := g.Node(dst).Level - 1; l >= 0; l-- {
-		for _, id := range g.Level(l) {
-			var c int64
-			for _, e := range g.Node(id).Up {
-				c += cnt[g.Edge(e).To]
-				if c >= satCap {
-					c = satCap
-					break
-				}
-			}
-			cnt[id] = c
-		}
-	}
-	return cnt
-}
-
-// MaxCountEntries bounds the CountsTo tables one consumer keeps at once
-// (int64 entries, so 32 MB): batch path selection (countCache) and the
-// open-system engine's per-destination arena both stop caching past it
-// and recount per draw instead.
-const MaxCountEntries = 1 << 22
-
-// countCache memoizes CountsTo tables by destination for one batch of
-// path draws. A table is a pure function of its destination, so any
-// caching policy yields the same paths; this one keeps tables while
-// their total size stays within MaxCountEntries and recounts later
-// destinations into one reused scratch table.
-//
-// Not safe for concurrent use.
-type countCache struct {
-	g       *graph.Leveled
-	tables  map[graph.NodeID][]int64
-	kept    int
-	scratch []int64
-}
-
-func newCountCache(g *graph.Leveled) *countCache {
-	return &countCache{g: g, tables: make(map[graph.NodeID][]int64)}
-}
-
-// countsTo returns the CountsTo(g, dst) table. A scratch table is only
-// valid until the next call.
-func (c *countCache) countsTo(dst graph.NodeID) []int64 {
-	if t, ok := c.tables[dst]; ok {
-		return t
-	}
-	nn := c.g.NumNodes()
-	if c.kept+nn > MaxCountEntries {
-		c.scratch = CountsTo(c.g, dst, c.scratch)
-		return c.scratch
-	}
-	t := CountsTo(c.g, dst, nil)
-	c.tables[dst] = t
-	c.kept += nn
-	return t
-}
-
-// AppendPathCounted is AppendPath given a precomputed CountsTo(g, dst)
-// table: validation, errors and RNG consumption (one rng.Int63n per
-// hop) are identical, but no counting pass runs.
-func AppendPathCounted(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, cnt []int64, buf graph.Path) (graph.Path, error) {
-	if src == dst {
-		return nil, fmt.Errorf("paths: src == dst == %d; zero-length routing requests are not packets", src)
-	}
-	ls, ld := g.Node(src).Level, g.Node(dst).Level
-	if ld <= ls {
-		return nil, fmt.Errorf("paths: dst level %d not above src level %d", ld, ls)
-	}
-	if cnt[src] == 0 {
-		return nil, fmt.Errorf("paths: node %d cannot reach %d forward", src, dst)
-	}
-	cur := src
-	for cur != dst {
-		up := g.Node(cur).Up
-		var total int64
-		for _, e := range up {
-			total += cnt[g.EndpointAt(e, graph.Forward)]
-		}
-		pick := rng.Int63n(total)
-		for _, e := range up {
-			next := g.EndpointAt(e, graph.Forward)
-			c := cnt[next]
-			if pick < c {
-				buf = append(buf, e)
-				cur = next
-				break
-			}
-			pick -= c
-		}
-	}
-	return buf, nil
+	hint := max(g.LevelOf(dst)-g.LevelOf(src), 0)
+	return newCountTable(g, 0).AppendPath(rng, src, dst, make(graph.Path, 0, hint))
 }
 
 // GreedyMinCongestionPath builds a forward path from src to dst that at
@@ -317,15 +178,15 @@ func GreedyMinCongestionPath(g *graph.Leveled, rng *rand.Rand, loads []int, src,
 
 // SelectRandom builds a PathSet with one random forward path per
 // (src, dst) request. Paths and RNG consumption are identical to calling
-// RandomForwardPath per request, but each destination's path-count table
-// is computed once per call (see countCache), so the cost scales with
+// RandomForwardPath per request, but the draws share one CountTable, so
+// each destination is counted once per call and the cost scales with
 // distinct destinations rather than packets.
 func SelectRandom(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, error) {
 	ps := make([]graph.Path, len(reqs))
-	cc := newCountCache(g)
+	ct := NewCountTable(g)
 	for i, r := range reqs {
 		buf := make(graph.Path, 0, max(g.LevelOf(r.Dst)-g.LevelOf(r.Src), 0))
-		p, err := AppendPathCounted(g, rng, r.Src, r.Dst, cc.countsTo(r.Dst), buf)
+		p, err := ct.AppendPath(rng, r.Src, r.Dst, buf)
 		if err != nil {
 			return nil, fmt.Errorf("paths: request %d: %w", i, err)
 		}
@@ -356,10 +217,10 @@ func SelectMinCongestion(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*Pat
 // forward-reachable from src and forward-reach dst. Randomizing the
 // middle spreads structured (adversarial) workloads, trading a little
 // dilation for much lower worst-case congestion. Both legs draw through
-// one per-call countCache, exactly as SelectRandom does.
+// one per-call CountTable, exactly as SelectRandom does.
 func SelectValiant(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, error) {
 	ps := make([]graph.Path, len(reqs))
-	cc := newCountCache(g)
+	ct := NewCountTable(g)
 	for i, r := range reqs {
 		ls, ld := g.Node(r.Src).Level, g.Node(r.Dst).Level
 		if ld <= ls {
@@ -368,11 +229,10 @@ func SelectValiant(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, 
 		midLevel := (ls + ld) / 2
 		fromSrc := g.ForwardReachableFrom(r.Src)
 		// A node forward-reaches dst iff its path count to dst is
-		// positive; the table is read before any draw can recycle it.
-		toDst := cc.countsTo(r.Dst)
+		// positive.
 		var mids []graph.NodeID
 		for _, v := range g.Level(midLevel) {
-			if fromSrc[v] && toDst[v] > 0 {
+			if fromSrc[v] && ct.at(r.Dst, v) > 0 {
 				mids = append(mids, v)
 			}
 		}
@@ -383,12 +243,12 @@ func SelectValiant(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, 
 		p := make(graph.Path, 0, ld-ls)
 		var err error
 		if mid != r.Src {
-			if p, err = AppendPathCounted(g, rng, r.Src, mid, cc.countsTo(mid), p); err != nil {
+			if p, err = ct.AppendPath(rng, r.Src, mid, p); err != nil {
 				return nil, fmt.Errorf("paths: request %d: %w", i, err)
 			}
 		}
 		if mid != r.Dst {
-			if p, err = AppendPathCounted(g, rng, mid, r.Dst, cc.countsTo(r.Dst), p); err != nil {
+			if p, err = ct.AppendPath(rng, mid, r.Dst, p); err != nil {
 				return nil, fmt.Errorf("paths: request %d: %w", i, err)
 			}
 		}

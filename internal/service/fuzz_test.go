@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -171,4 +172,43 @@ func snapshotBytes(s *Service) ([]byte, error) {
 	var buf bytes.Buffer
 	err = persist.WriteServiceSnapshot(&buf, snap)
 	return buf.Bytes(), err
+}
+
+// FuzzParseTenants feeds arbitrary strings to ParseTenants. No input
+// may panic, and an accepted table has unique non-empty names and a
+// finite, non-negative rate and burst for every tenant.
+func FuzzParseTenants(f *testing.F) {
+	for _, s := range []string{
+		"gold:rate=200,burst=400;free:rate=20,burst=40;anon",
+		"anon",
+		"a;a",
+		"x:rate=nan,burst=1",
+		"x:rate=1e400,burst=1",
+		";;",
+		"x:rate=1",
+		":rate=1,burst=2",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		qs, err := ParseTenants(spec)
+		if err != nil {
+			return
+		}
+		if len(qs) == 0 {
+			t.Fatalf("ParseTenants(%q) accepted no tenants", spec)
+		}
+		seen := make(map[string]bool)
+		for _, q := range qs {
+			if q.Name == "" || seen[q.Name] {
+				t.Fatalf("ParseTenants(%q): empty or duplicate name %q", spec, q.Name)
+			}
+			seen[q.Name] = true
+			for _, x := range []float64{q.Rate, q.Burst} {
+				if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("ParseTenants(%q): tenant %q rate=%g burst=%g", spec, q.Name, q.Rate, q.Burst)
+				}
+			}
+		}
+	})
 }
