@@ -36,10 +36,11 @@ cover:
 	$(GO) test -cover ./...
 
 # Brief fuzzing session over the input parsers (problems, networks,
-# checkpoints, fault specs, tenant tables), the levelizer and the
-# snapshot restore path (the same targets as CI's fuzz-smoke job).
-# Snapshot inputs are kilobytes of JSON; minimising each new one for the
-# default 60s would eat the whole session.
+# checkpoints, fault specs, tenant tables), the levelizer, the snapshot
+# restore path and the run summaries (the same targets as CI's
+# fuzz-smoke job). Snapshot inputs are kilobytes of JSON and summary
+# samples run long; minimising each new one for the default 60s would
+# eat the whole session.
 fuzz:
 	$(GO) test -fuzz FuzzReadProblem -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReadNetwork -fuzztime 30s ./internal/persist/
@@ -49,6 +50,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParseTenants -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzReadServiceSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/service/
+	$(GO) test -fuzz FuzzSummarize -fuzztime 30s -fuzzminimizetime 2s ./internal/stats/
 
 clean:
 	rm -rf figs

@@ -9,8 +9,10 @@ import (
 // BenchmarkFrameRunnerHotSpot times one frame run on the first
 // frame-batch corpus problem (butterfly(10), 1024 packets, C = 84) with
 // a reused Runner. steps/op is the simulated makespan, about 171k steps
-// of which all but a few hundred have no packet in flight; Run
-// fast-forwards over those, so ns/op follows the busy steps.
+// of which only about 850 to 1,300 execute (packets in flight or
+// waiting on an occupied source, over the five corpus problems and
+// seeds 1-10); Run fast-forwards over the rest, so ns/op follows the
+// busy steps' ~9,300 moves and the per-run Reset and summaries.
 func BenchmarkFrameRunnerHotSpot(b *testing.B) {
 	p := corpus(b)[0]
 	r := NewRunner(p, DefaultPractical(p.C, p.L(), p.N()), 1, 0)

@@ -30,6 +30,37 @@ func (s Schedule) IsRoundEnd(t int) bool { return s.StepInRound(t) == s.P.W-1 }
 // IsPhaseEnd reports whether step t is the last step of its phase.
 func (s Schedule) IsPhaseEnd(t int) bool { return t%s.P.StepsPerPhase() == s.P.StepsPerPhase()-1 }
 
+// clock is the schedule position of one step: its phase, its round
+// within the phase and its offset within the round.
+type clock struct {
+	t, phase, round, inRound int
+}
+
+// roundEnd reports whether the step is the last of its round.
+func (c clock) roundEnd(s Schedule) bool { return c.inRound == s.P.W-1 }
+
+// phaseEnd reports whether the step is the last of its phase.
+func (c clock) phaseEnd(s Schedule) bool { return c.roundEnd(s) && c.round == s.P.M-1 }
+
+// clockAt returns step t's schedule position, by division.
+func (s Schedule) clockAt(t int) clock {
+	rem := t % s.P.StepsPerPhase()
+	return clock{t: t, phase: t / s.P.StepsPerPhase(), round: rem / s.P.W, inRound: rem % s.P.W}
+}
+
+// next returns the position of the step after c's, without dividing.
+func (s Schedule) next(c clock) clock {
+	c.t++
+	if c.inRound++; c.inRound == s.P.W {
+		c.inRound = 0
+		if c.round++; c.round == s.P.M {
+			c.round = 0
+			c.phase++
+		}
+	}
+	return c
+}
+
 // Frontier returns the level pointed to by frontier i during the given
 // phase: phase - i*M. The value may lie outside [0, L]; only the
 // in-network portion of the frame exists (Figure 2 shows partial

@@ -90,6 +90,15 @@ type Frame struct {
 	sched Schedule
 	S     Stats
 
+	// clk is the schedule position of the step about to execute, so the
+	// per-packet callbacks read phase and round instead of dividing.
+	// Init sets it for step 0 and EndStep(t) for step t+1, both
+	// sequential points; it is read-only while requests run. A step the
+	// engine reached without an EndStep — the first after Run
+	// fast-forwards an idle stretch — misses it and falls back to
+	// division (see at).
+	clk clock
+
 	// coinSeed keys the per-(step, packet) excitation coin (see
 	// sim.CoinFloat): counter-based rather than drawn from the shared
 	// sequential rng, so Request is order-independent and the router
@@ -198,6 +207,7 @@ func (r *Frame) Init(e *sim.Engine) {
 	r.rng = e.Rng
 	r.coinSeed = sim.StreamSeed(e.Seed(), frameCoinSalt)
 	r.S = Stats{}
+	r.clk = r.sched.clockAt(0)
 	r.pendExcitations.Store(0)
 	r.pendWaitEntries.Store(0)
 	r.pendExcitedWins.Store(0)
@@ -231,10 +241,11 @@ func (r *Frame) Init(e *sim.Engine) {
 }
 
 // ConcurrentRequests implements sim.ConcurrentRouter: WantInject reads
-// only immutable schedule/graph state, and Request draws its excitation
-// coin from a counter-based stream keyed by (step, packet) rather than
-// a shared sequential generator, touches per-packet state only, and
-// bumps shared counters through atomics. Its behavior is therefore
+// only schedule/graph state that is immutable while requests run (the
+// step clock is written only at Init and EndStep), and Request draws
+// its excitation coin from a counter-based stream keyed by (step,
+// packet) rather than a shared sequential generator, touches per-packet
+// state only, and bumps shared counters through atomics. Its behavior is therefore
 // independent of call order and safe under the engine's sharded step.
 // Neither reads engine occupancy (At/InFlight/Active) — required since
 // the barrier-fused step clears a shard's occupancy while other shards'
@@ -251,9 +262,17 @@ func (r *Frame) WantInject(t int, p *sim.Packet) bool {
 	if r.EagerInjection {
 		return true
 	}
-	phase := r.sched.PhaseOf(t)
-	want := r.sched.InjectionPhase(int(r.set[p.ID]), r.g.LevelOf(p.Src))
-	return phase >= want
+	return r.at(t).phase >= r.sched.InjectionPhase(int(r.set[p.ID]), r.g.LevelOf(p.Src))
+}
+
+// at returns step t's schedule position: the step clock when it is at
+// t, which holds on every step but the first after an idle
+// fast-forward, else the direct computation.
+func (r *Frame) at(t int) clock {
+	if t == r.clk.t {
+		return r.clk
+	}
+	return r.sched.clockAt(t)
 }
 
 // InjectStep implements sim.InjectionPlanner. WantInject is monotone in
@@ -282,8 +301,11 @@ func (r *Frame) InjectStep(p *sim.Packet) int {
 // the clamp, a packet that misses its round target under scaled-down
 // parameters would escape the frame forward.)
 func (r *Frame) TargetNode(t int, p *sim.Packet) graph.NodeID {
-	phase := r.sched.PhaseOf(t)
-	round := r.sched.RoundOf(t)
+	return r.target(r.at(t), p)
+}
+
+func (r *Frame) target(c clock, p *sim.Packet) graph.NodeID {
+	phase, round := c.phase, c.round
 	set := int(r.set[p.ID])
 	tl := r.sched.TargetLevel(set, phase, round)
 	if v, ok := r.g.PathContainsLevel(p.PathList, tl); ok && r.g.LevelOf(v) == tl {
@@ -300,6 +322,7 @@ func (r *Frame) TargetNode(t int, p *sim.Packet) graph.NodeID {
 // Request implements sim.Router.
 func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 	id := p.ID
+	c := r.at(t)
 	// A packet's first request comes at its injection step; injection
 	// after the start of its scheduled phase is the paper's "extreme
 	// case" fallback, worth counting.
@@ -330,7 +353,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 
 	// Reaching the target node begins the wait state, oscillating on
 	// the last traversed link.
-	if tgt := r.TargetNode(t, p); !r.DisableWait && p.Cur == tgt && p.ArrivalEdge != graph.NoEdge {
+	if tgt := r.target(c, p); !r.DisableWait && p.Cur == tgt && p.ArrivalEdge != graph.NoEdge {
 		if r.st[id] == stateExcited {
 			r.pendExcitedWins.Add(1)
 			if r.Events != nil {
@@ -408,8 +431,9 @@ func (r *Frame) OnAbsorb(t int, p *sim.Packet) {
 // list.
 func (r *Frame) EndStep(t int, e *sim.Engine) {
 	r.flushPending()
-	roundEnd := r.sched.IsRoundEnd(t)
-	phaseEnd := r.sched.IsPhaseEnd(t)
+	c := r.at(t)
+	roundEnd, phaseEnd := c.roundEnd(r.sched), c.phaseEnd(r.sched)
+	r.clk = r.sched.next(c)
 	if r.Events != nil {
 		// Flush surviving packets' staged events (deflected and
 		// absorbed packets flushed theirs at OnDeflect/OnAbsorb) in
@@ -453,18 +477,24 @@ func (r *Frame) EndStep(t int, e *sim.Engine) {
 }
 
 // flushPending folds the atomically-bumped Request-side counters into
-// S. Called at the top of EndStep, i.e. once per step, sequentially.
+// S. Called at the top of EndStep, i.e. once per step, sequentially:
+// no Request runs then, so a load, and a store only when a cell is
+// nonzero, replace four locked swaps on every step.
 func (r *Frame) flushPending() {
-	if v := r.pendExcitations.Swap(0); v != 0 {
+	if v := r.pendExcitations.Load(); v != 0 {
+		r.pendExcitations.Store(0)
 		r.S.Excitations += int(v)
 	}
-	if v := r.pendWaitEntries.Swap(0); v != 0 {
+	if v := r.pendWaitEntries.Load(); v != 0 {
+		r.pendWaitEntries.Store(0)
 		r.S.WaitEntries += int(v)
 	}
-	if v := r.pendExcitedWins.Swap(0); v != 0 {
+	if v := r.pendExcitedWins.Load(); v != 0 {
+		r.pendExcitedWins.Store(0)
 		r.S.ExcitedSuccesses += int(v)
 	}
-	if v := r.pendLateInjected.Swap(0); v != 0 {
+	if v := r.pendLateInjected.Load(); v != 0 {
+		r.pendLateInjected.Store(0)
 		r.S.LatePhaseInjections += int(v)
 	}
 }

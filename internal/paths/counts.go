@@ -18,10 +18,6 @@ const satCap = 1 << 40
 // draw instead.
 const MaxCountBytes = 32 << 20
 
-// MaxCountEntries is MaxCountBytes in full-width (8-byte) entries: rows
-// totalling at most this many entries fit whatever their widths.
-const MaxCountEntries = MaxCountBytes / 8
-
 // countWord is a count row's entry type; a row uses the narrowest one
 // that holds its largest saturated count.
 type countWord interface {
@@ -225,7 +221,9 @@ func (t *CountTable) AppendPath(rng *rand.Rand, src, dst graph.NodeID, buf graph
 
 // drawPath walks from src to dst, picking each next hop with
 // probability proportional to its count in cnt. src and dst are on
-// distinct levels, dst above src.
+// distinct levels, dst above src. A hop's total is the current node's
+// own count — count sums each node's up-neighbours exactly — unless
+// saturation clipped it, and only then is the Up list summed.
 func drawPath[T countWord](g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, cnt []T, buf graph.Path) (graph.Path, error) {
 	if cnt[src] == 0 {
 		return nil, fmt.Errorf("paths: node %d cannot reach %d forward", src, dst)
@@ -233,9 +231,12 @@ func drawPath[T countWord](g *graph.Leveled, rng *rand.Rand, src, dst graph.Node
 	cur := src
 	for cur != dst {
 		up := g.Node(cur).Up
-		var total int64
-		for _, e := range up {
-			total += int64(cnt[g.EndpointAt(e, graph.Forward)])
+		total := int64(cnt[cur])
+		if total >= satCap {
+			total = 0
+			for _, e := range up {
+				total += int64(cnt[g.EndpointAt(e, graph.Forward)])
+			}
 		}
 		pick := rng.Int63n(total)
 		for _, e := range up {

@@ -182,8 +182,14 @@ func GreedyMinCongestionPath(g *graph.Leveled, rng *rand.Rand, loads []int, src,
 // each destination is counted once per call and the cost scales with
 // distinct destinations rather than packets.
 func SelectRandom(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, error) {
+	return selectRandom(NewCountTable(g), rng, reqs)
+}
+
+// selectRandom is SelectRandom drawing through ct, whose byte budget
+// decides which destinations keep their rows.
+func selectRandom(ct *CountTable, rng *rand.Rand, reqs []Request) (*PathSet, error) {
+	g := ct.g
 	ps := make([]graph.Path, len(reqs))
-	ct := NewCountTable(g)
 	for i, r := range reqs {
 		buf := make(graph.Path, 0, max(g.LevelOf(r.Dst)-g.LevelOf(r.Src), 0))
 		p, err := ct.AppendPath(rng, r.Src, r.Dst, buf)
@@ -219,8 +225,13 @@ func SelectMinCongestion(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*Pat
 // dilation for much lower worst-case congestion. Both legs draw through
 // one per-call CountTable, exactly as SelectRandom does.
 func SelectValiant(g *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, error) {
+	return selectValiant(NewCountTable(g), rng, reqs)
+}
+
+// selectValiant is SelectValiant drawing through ct, as selectRandom.
+func selectValiant(ct *CountTable, rng *rand.Rand, reqs []Request) (*PathSet, error) {
+	g := ct.g
 	ps := make([]graph.Path, len(reqs))
-	ct := NewCountTable(g)
 	for i, r := range reqs {
 		ls, ld := g.Node(r.Src).Level, g.Node(r.Dst).Level
 		if ld <= ls {

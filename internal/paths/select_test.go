@@ -142,23 +142,45 @@ func TestSelectMatchesPerRequestReference(t *testing.T) {
 }
 
 // TestSelectPastCacheCap routes 1024 butterfly(10) sources to 1024
-// distinct top-level nodes: 1024 tables of 11264 entries exceed
-// MaxCountEntries, so most destinations take the recount fallback.
+// distinct top-level nodes through a table whose byte budget keeps only
+// 96 one-byte rows, then revisits early destinations. Draws must match
+// the per-request reference, and the table must show the premise held:
+// the budget is full and every destination past the first 96 kept no
+// row, so each draw to one recounted it into the scratch.
 func TestSelectPastCacheCap(t *testing.T) {
 	g := mustTopo(t)(topo.Butterfly(10))
 	bottom, top := g.Level(0), g.Level(g.Depth())
-	if len(top)*g.NumNodes() <= MaxCountEntries {
-		t.Fatalf("%d tables of %d entries fit the %d cap; the fallback is not exercised", len(top), g.NumNodes(), MaxCountEntries)
-	}
+	const keptRows = 96
+	budget := keptRows * g.NumNodes()
 	perm := rand.New(rand.NewSource(8)).Perm(len(top))
 	reqs := make([]Request, len(bottom))
 	for i, s := range bottom {
 		reqs[i] = Request{Src: s, Dst: top[perm[i]]}
 	}
-	// Revisit early destinations after the cache has filled.
+	// Revisit early destinations after the budget has run out.
 	reqs = append(reqs, reqs[:64]...)
-	diffSelect(t, "SelectRandom", g, reqs, SelectRandom, selectRandomRef)
-	diffSelect(t, "SelectValiant", g, reqs, SelectValiant, selectValiantRef)
+	for _, c := range []struct {
+		name string
+		sel  func(*CountTable, *rand.Rand, []Request) (*PathSet, error)
+		ref  selectFunc
+	}{
+		{"SelectRandom", selectRandom, selectRandomRef},
+		{"SelectValiant", selectValiant, selectValiantRef},
+	} {
+		ct := newCountTable(g, budget)
+		sel := func(_ *graph.Leveled, rng *rand.Rand, reqs []Request) (*PathSet, error) {
+			return c.sel(ct, rng, reqs)
+		}
+		diffSelect(t, c.name, g, reqs, sel, c.ref)
+		if ct.used != budget {
+			t.Errorf("%s: kept rows take %d bytes, want the whole %d-byte budget", c.name, ct.used, budget)
+		}
+		for _, r := range reqs[keptRows:len(bottom)] {
+			if ct.rowOf(r.Dst).width != 0 {
+				t.Fatalf("%s: destination %d kept a row past the budget", c.name, r.Dst)
+			}
+		}
+	}
 }
 
 func TestSelectErrorsMatchReference(t *testing.T) {

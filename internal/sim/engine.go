@@ -206,7 +206,8 @@ type Engine struct {
 
 	// Injection release queue (InjectionPlanner routers). injSchedule
 	// packs (releaseStep<<32 | packetID), sorted ascending, built once
-	// per run after Router.Init; injCursor is the next unreleased entry.
+	// per run after Router.Init by a radix pass through injSpare (see
+	// sortRelease); injCursor is the next unreleased entry.
 	// Released packets merge into the ID-ordered pending list through
 	// mergeBuf, so the admission sweep and all occupancy interactions
 	// are byte-identical to the legacy full sweep — the queue only
@@ -215,6 +216,7 @@ type Engine struct {
 	// restores the full pending sweep for differential testing.
 	planner      InjectionPlanner
 	injSchedule  []uint64
+	injSpare     []uint64
 	injCursor    int
 	mergeBuf     []PacketID
 	legacyInject bool
@@ -373,6 +375,45 @@ func injPack(rel int, pid PacketID) uint64 {
 	return uint64(rel)<<32 | uint64(uint32(pid))
 }
 
+// sortRelease puts a release schedule in (release, ID) order in O(n):
+// the order slices.Sort gives the packed values. The entries must come
+// in ascending packet ID, as Reset appends them, so a stable LSD radix
+// sort on the release step alone — one counting pass per byte, skipping
+// the bytes every entry shares — finishes the job. spare is scratch of
+// len(sched); the sorted entries come back in one of the two slices and
+// the other is returned as the next call's spare.
+func sortRelease(sched, spare []uint64) (sorted, rest []uint64) {
+	if len(sched) == 0 {
+		return sched, spare
+	}
+	var counts [4][256]int32
+	for _, v := range sched {
+		rel := uint32(v >> 32)
+		counts[0][byte(rel)]++
+		counts[1][byte(rel>>8)]++
+		counts[2][byte(rel>>16)]++
+		counts[3][byte(rel>>24)]++
+	}
+	for d := range counts {
+		c, shift := &counts[d], 32+8*d
+		if int(c[byte(sched[0]>>shift)]) == len(sched) {
+			continue
+		}
+		var at int32
+		for b, n := range c {
+			c[b] = at
+			at += n
+		}
+		for _, v := range sched {
+			b := byte(v >> shift)
+			spare[c[b]] = v
+			c[b]++
+		}
+		sched, spare = spare, sched
+	}
+	return sched, spare
+}
+
 // NewEngine builds an engine for the problem with the given router and
 // seed. Packet i corresponds to path i of the problem. A packet with an
 // empty preselected path (source == destination) is absorbed
@@ -444,10 +485,21 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 	}
 	e.Packets = make([]Packet, p.N())
 	e.pending = make([]PacketID, 0, p.N())
-	e.injSchedule = make([]uint64, 0, p.N())
+	if _, ok := r.(InjectionPlanner); ok {
+		// Only planners keep a release schedule.
+		e.injSchedule = make([]uint64, 0, p.N())
+		e.injSpare = make([]uint64, p.N())
+	}
 	e.mergeBuf = make([]PacketID, 0, p.N())
+	// Src and Dst are constants of the problem: set here once, kept by
+	// every Reset.
 	for i, path := range p.Set.Paths {
-		e.Packets[i].Preselected = path
+		pk := &e.Packets[i]
+		pk.Preselected = path
+		pk.Src, pk.Dst = graph.NoNode, graph.NoNode
+		if len(path) > 0 {
+			pk.Src, pk.Dst = p.G.PathSource(path), p.G.PathDest(path)
+		}
 	}
 	// Pre-carve PathList backing from one arena, sized at the longest
 	// preselected path plus prepend headroom, so the injection wave
@@ -545,16 +597,14 @@ func (e *Engine) Reset(seed int64) {
 		*p = Packet{
 			ID:          PacketID(i),
 			Cur:         graph.NoNode,
-			Src:         graph.NoNode,
-			Dst:         graph.NoNode,
+			Src:         p.Src,
+			Dst:         p.Dst,
 			Preselected: p.Preselected,
 			InjectTime:  -1,
 			AbsorbTime:  -1,
 			ArrivalEdge: graph.NoEdge,
 		}
 		if len(p.Preselected) > 0 {
-			p.Src = e.G.PathSource(p.Preselected)
-			p.Dst = e.G.PathDest(p.Preselected)
 			e.pending = append(e.pending, p.ID)
 		} else {
 			// Zero-length path: the packet is already where it is
@@ -570,13 +620,14 @@ func (e *Engine) Reset(seed int64) {
 	e.router.Init(e)
 
 	// With an InjectionPlanner router, park the pending packets in a
-	// release queue sorted by (InjectStep, ID) and drain the pending list
-	// entirely: Step's prologue re-admits each packet into the ID-ordered
-	// pending list at its release step, so the per-step WantInject sweep
-	// touches only packets whose lower bound has passed. The schedule is
-	// built here — after Router.Init — because planners typically derive
-	// it from state randomized at Init (the frame router's set
-	// assignment).
+	// release queue sorted by (InjectStep, ID) — pending is in ID order,
+	// so a radix pass on the release step sorts it — and drain the
+	// pending list entirely: Step's prologue re-admits each packet into
+	// the ID-ordered pending list at its release step, so the per-step
+	// WantInject sweep touches only packets whose lower bound has
+	// passed. The schedule is built here — after Router.Init — because
+	// planners typically derive it from state randomized at Init (the
+	// frame router's set assignment).
 	e.planner = nil
 	e.injSchedule = e.injSchedule[:0]
 	e.injCursor = 0
@@ -585,7 +636,7 @@ func (e *Engine) Reset(seed int64) {
 		for _, pid := range e.pending {
 			e.injSchedule = append(e.injSchedule, injPack(pl.InjectStep(&e.Packets[pid]), pid))
 		}
-		slices.Sort(e.injSchedule)
+		e.injSchedule, e.injSpare = sortRelease(e.injSchedule, e.injSpare[:len(e.injSchedule)])
 		e.pending = e.pending[:0]
 	}
 }

@@ -4,8 +4,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -25,10 +27,19 @@ func Summarize(xs []float64) Summary {
 	return SummarizeInPlace(append([]float64(nil), xs...))
 }
 
-// SummarizeInPlace is Summarize without the private copy: it sorts xs
-// in place, so callers that own a scratch sample avoid the allocation.
-// The moments are accumulated in xs's original order, before the sort,
-// so the result is bit-identical to Summarize's.
+// SummarizeInPlace is Summarize without the private copy: it may
+// reorder xs, so callers that own a scratch sample avoid the
+// allocation. The moments are accumulated in xs's original order, before
+// any reordering, and Median/P90/P99 are read by in-place selection at
+// the ranks Quantile interpolates between, with Quantile's formula, so
+// the result is bit-identical to Quantile over the sorted sample. It
+// runs in O(n) expected time and allocates nothing.
+//
+// Special values: Min and Max skip NaNs (they stay ±Inf when every
+// sample is NaN), and Mean and Std are NaN when any sample is NaN. The
+// order statistics rank by NaN < −Inf < negatives < −0 < +0 <
+// positives < +Inf: a NaN sample sorts first, as slices.Sort orders it,
+// and a zero rank is −0 exactly when it falls among the −0 samples.
 func SummarizeInPlace(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
@@ -53,11 +64,157 @@ func SummarizeInPlace(xs []float64) Summary {
 	if len(xs) > 1 {
 		s.Std = math.Sqrt(ss / float64(len(xs)-1))
 	}
-	slices.Sort(xs)
-	s.Median = Quantile(xs, 0.5)
-	s.P90 = Quantile(xs, 0.9)
-	s.P99 = Quantile(xs, 0.99)
+	// A NaN sample makes the sum NaN (so does +Inf + −Inf, which the
+	// partition then finds NaN-free): only then move the NaNs to the
+	// front, where their rank puts them, and select among the rest.
+	sel := orderStats{xs: xs}
+	if math.IsNaN(sum) {
+		for i, x := range xs {
+			if x != x {
+				xs[i], xs[sel.placed] = xs[sel.placed], x
+				sel.placed++
+			}
+		}
+	}
+	s.Median = sel.quantile(0.5)
+	s.P90 = sel.quantile(0.9)
+	s.P99 = sel.quantile(0.99)
 	return s
+}
+
+// orderStats reads quantiles of xs at nondecreasing q by selection:
+// xs[:placed] holds the placed smallest values, and every rank below
+// placed that a quantile reads was selected into its slot, so the next
+// rank is selected from xs[placed:] alone.
+type orderStats struct {
+	xs     []float64
+	placed int
+}
+
+// quantile returns Quantile of the sorted sample at q. Calls must come
+// in nondecreasing q.
+func (o *orderStats) quantile(q float64) float64 {
+	lo, hi, frac := quantilePos(len(o.xs), q)
+	if lo == hi {
+		return o.rank(lo)
+	}
+	return interpolate(o.rank(lo), o.rank(hi), frac)
+}
+
+// rank returns the value of rank k (0-based, ascending), selecting it
+// into xs[k] when it is not placed yet.
+func (o *orderStats) rank(k int) float64 {
+	if k >= o.placed {
+		selectRank(o.xs[o.placed:], k-o.placed)
+		o.placed = k + 1
+	}
+	return o.xs[k]
+}
+
+// orderKey maps a non-NaN float to an int64 that orders as the float
+// does, with −0 below +0: the sign-magnitude bits with the magnitude of
+// negatives flipped.
+func orderKey(x float64) int64 {
+	b := int64(math.Float64bits(x))
+	return b ^ int64(uint64(b>>63)>>1)
+}
+
+// selectRank reorders the NaN-free xs so that xs[k] holds the value of
+// rank k, with no larger value before it and no smaller one after it.
+// It is quickselect with a median-of-three pivot, comparing orderKeys:
+// integer compares the partition loops turn into conditional moves, so
+// their cost does not hinge on predicting the data. Each round splits
+// the window into keys below, equal to and above the pivot — the equal
+// pass only when k lies past the lower part — so runs of equal samples
+// end the search at once. A search that keeps landing on bad pivots
+// finishes with a sort of what is left, which bounds the worst case by
+// O(n log n).
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)
+	if k == 0 {
+		// The common rank right after a placed one: a min scan.
+		m, mk := 0, orderKey(xs[0])
+		for i := 1; i < hi; i++ {
+			if ki := orderKey(xs[i]); ki < mk {
+				m, mk = i, ki
+			}
+		}
+		xs[0], xs[m] = xs[m], xs[0]
+		return
+	}
+	for budget := 2 * bits.Len(uint(hi)); hi-lo > 16; budget-- {
+		if budget == 0 {
+			slices.SortFunc(xs[lo:hi], func(a, b float64) int {
+				return cmp.Compare(orderKey(a), orderKey(b))
+			})
+			return
+		}
+		a, b, c := orderKey(xs[lo]), orderKey(xs[lo+(hi-lo)/2]), orderKey(xs[hi-1])
+		if b < a {
+			a, b = b, a
+		}
+		if c < b {
+			b = max(a, c)
+		}
+		pivot := b
+		// Branch-free Lomuto passes: xs[lo:lt] < pivot, then
+		// xs[lt:eq] == pivot.
+		lt := lo
+		for i := lo; i < hi; i++ {
+			x := xs[i]
+			xs[i], xs[lt] = xs[lt], x
+			d := 0
+			if orderKey(x) < pivot {
+				d = 1
+			}
+			lt += d
+		}
+		if k < lt {
+			hi = lt
+			continue
+		}
+		eq := lt
+		for i := lt; i < hi; i++ {
+			x := xs[i]
+			xs[i], xs[eq] = xs[eq], x
+			d := 0
+			if orderKey(x) == pivot {
+				d = 1
+			}
+			eq += d
+		}
+		if k < eq {
+			return
+		}
+		lo = eq
+	}
+	// Insertion sort of the short window left.
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && orderKey(xs[j]) < orderKey(xs[j-1]); j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
+// quantilePos returns the ranks Quantile interpolates between for q over
+// n sorted samples, and the weight of the upper one.
+func quantilePos(n int, q float64) (lo, hi int, frac float64) {
+	if q <= 0 {
+		return 0, 0, 0
+	}
+	if q >= 1 {
+		return n - 1, n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
+}
+
+// interpolate is Quantile's linear interpolation between neighbouring
+// order statistics.
+func interpolate(lo, hi, frac float64) float64 {
+	return lo*(1-frac) + hi*frac
 }
 
 // Quantile returns the q-quantile (0<=q<=1) of a sorted sample using
@@ -77,20 +234,11 @@ func Quantile(sorted []float64, q float64) float64 {
 				i, sorted[i], i-1, sorted[i-1]))
 		}
 	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantilePos(len(sorted), q)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return interpolate(sorted[lo], sorted[hi], frac)
 }
 
 // QuantileUnsorted returns the q-quantile of a raw sample: it sorts a
