@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // Handler returns the service's HTTP API (Go 1.22 method+wildcard
@@ -18,8 +19,10 @@ import (
 //	POST /v1/topologies/{name}/advance     — {"steps": n} manual stepping
 //	POST /v1/topologies/{name}/windows     — flush the open window
 //
-// Everything speaks JSON. Unknown topology → 404, unknown tenant → 403,
-// malformed or invalid request → 400.
+// Everything speaks JSON: each reply is one compact JSON value and a
+// newline. Unknown topology → 404, unknown tenant → 403, stopped
+// topology → 503, malformed or invalid request → 400, and a reply that
+// fails to encode → 500; every error body is {"error": "..."}.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/topologies", func(w http.ResponseWriter, r *http.Request) {
@@ -57,7 +60,7 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]int{"step": step})
+		writeJSON(w, http.StatusOK, advanceReply{Step: step})
 	})
 	mux.HandleFunc("POST /v1/topologies/{name}/windows", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -70,7 +73,7 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]bool{"flushed": true})
+		writeJSON(w, http.StatusOK, flushReply{Flushed: true})
 	})
 	return mux
 }
@@ -113,18 +116,41 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 		}
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad request body: " + err.Error()})
 		return err
 	}
 	return nil
 }
 
+// Reply bodies of the endpoints that answer no stats or batch result.
+type (
+	advanceReply struct {
+		Step int `json:"step"`
+	}
+	flushReply struct {
+		Flushed bool `json:"flushed"`
+	}
+	errorReply struct {
+		Error string `json:"error"`
+	}
+)
+
+// writeJSON answers status with v as one compact JSON value and a
+// newline, sent in a single Write. v is marshalled before the header
+// goes out, so a value that fails to encode answers 500 with an error
+// body, never a 200 with an empty or cut-off one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorReply{Error: "encode reply: " + err.Error()}) // a string always encodes
+	}
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body) // a failed write means the client is gone; there is no one to tell
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -137,5 +163,5 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrStopped):
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	writeJSON(w, status, errorReply{Error: err.Error()})
 }

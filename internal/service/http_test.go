@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"hotpotato/internal/dynamic"
 )
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -216,4 +221,150 @@ func TestBatchSizeLimit(t *testing.T) {
 		t.Errorf("advance past MaxAdvanceSteps: status %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// indentedCompact is the reply the service sent before replies went
+// compact — v through an indenting json.Encoder — with its whitespace
+// stripped and one newline appended: the bytes a reply must now be.
+func indentedCompact(t *testing.T, v any) []byte {
+	t.Helper()
+	var indented, out bytes.Buffer
+	enc := json.NewEncoder(&indented)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&out, indented.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	out.WriteByte('\n')
+	return out.Bytes()
+}
+
+// checkReply asserts that rec answered status with want: a JSON
+// content type and length, exactly indentedCompact(want) as the body,
+// and a body that decodes strictly back into want.
+func checkReply[T any](t *testing.T, label string, rec *httptest.ResponseRecorder, status int, want T) {
+	t.Helper()
+	body := rec.Body.Bytes()
+	if rec.Code != status {
+		t.Errorf("%s: status %d, want %d: %s", label, rec.Code, status, body)
+	}
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%s: Content-Type %q", label, ct)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+		t.Errorf("%s: Content-Length %q for a %d-byte body", label, cl, len(body))
+	}
+	if wantBody := indentedCompact(t, want); !bytes.Equal(body, wantBody) {
+		t.Errorf("%s: body\n%s\nwant\n%s", label, body, wantBody)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	var got T
+	if err := dec.Decode(&got); err != nil {
+		t.Errorf("%s: strict decode: %v", label, err)
+	} else if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: decoded %+v, want %+v", label, got, want)
+	}
+}
+
+// TestResponseBodies pins every endpoint's reply bytes. One service is
+// driven over HTTP and a twin with the same config through the Go API,
+// so each expected reply is the value the Go API returns for the same
+// call.
+func TestResponseBodies(t *testing.T) {
+	newSvc := func() *Service {
+		s, err := New([]TopologyConfig{manualCfg(t, "bfly")}, Options{Now: newFakeClock().now})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s, twin := newSvc(), newSvc()
+	defer s.Close()
+	defer twin.Close()
+	h := s.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec
+	}
+	errReply := func(err error) errorReply {
+		t.Helper()
+		if err == nil {
+			t.Fatal("twin call succeeded")
+		}
+		return errorReply{Error: err.Error()}
+	}
+
+	req := BatchRequest{Tenant: "gold", Pairs: []Pair{{Src: 0, Dst: 60}, {Src: -1, Dst: 3}}, Random: 9}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBatch, err := twin.SubmitBatch("bfly", req)
+	if err != nil || len(wantBatch.Rejected) == 0 {
+		t.Fatalf("twin batch %+v, %v: want a rejected item", wantBatch, err)
+	}
+	checkReply(t, "POST batches", serve(http.MethodPost, "/v1/topologies/bfly/batches", string(data)), http.StatusOK, wantBatch)
+
+	step, err := twin.Advance("bfly", 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkReply(t, "POST advance", serve(http.MethodPost, "/v1/topologies/bfly/advance", `{"steps":30}`), http.StatusOK, advanceReply{Step: step})
+	checkReply(t, "POST windows", serve(http.MethodPost, "/v1/topologies/bfly/windows", `{}`), http.StatusOK, flushReply{Flushed: true})
+
+	st, err := s.Stats("bfly")
+	if err != nil || st.LastWindow == nil || st.Delivered == 0 {
+		t.Fatalf("stats %+v, %v: want deliveries and a flushed window", st, err)
+	}
+	checkReply(t, "GET stats", serve(http.MethodGet, "/v1/topologies/bfly", ""), http.StatusOK, st)
+	checkReply(t, "GET list", serve(http.MethodGet, "/v1/topologies", ""), http.StatusOK, s.AllStats())
+
+	_, err = twin.Advance("bfly", 0)
+	checkReply(t, "400 advance", serve(http.MethodPost, "/v1/topologies/bfly/advance", `{"steps":0}`), http.StatusBadRequest, errReply(err))
+	const unknownField = `{"tenant":"gold","surprise":1}`
+	dec := json.NewDecoder(strings.NewReader(unknownField))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&BatchRequest{})
+	checkReply(t, "400 body", serve(http.MethodPost, "/v1/topologies/bfly/batches", unknownField), http.StatusBadRequest,
+		errorReply{Error: "bad request body: " + errReply(err).Error})
+	_, err = twin.SubmitBatch("bfly", BatchRequest{Tenant: "ghost", Random: 1})
+	checkReply(t, "403", serve(http.MethodPost, "/v1/topologies/bfly/batches", `{"tenant":"ghost","random":1}`), http.StatusForbidden, errReply(err))
+
+	// The 404 names a topology with HTML metacharacters: escaping stays
+	// as encoding/json's default.
+	_, err = twin.SubmitBatch("<ghost>&", BatchRequest{Tenant: "gold", Random: 1})
+	rec := serve(http.MethodPost, "/v1/topologies/%3Cghost%3E&/batches", `{"tenant":"gold","random":1}`)
+	checkReply(t, "404", rec, http.StatusNotFound, errReply(err))
+	if !strings.Contains(rec.Body.String(), `\u003cghost\u003e\u0026`) {
+		t.Errorf("404 body not HTML-escaped: %s", rec.Body)
+	}
+
+	s.Close()
+	_, err = s.Stats("bfly")
+	checkReply(t, "503", serve(http.MethodGet, "/v1/topologies/bfly", ""), http.StatusServiceUnavailable, errReply(err))
+}
+
+// TestWriteJSONEncodeFailure: a reply that cannot be encoded answers
+// 500 with a JSON error body, never a 200 with an empty or cut-off one.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	for _, v := range []any{math.NaN(), TopologyStats{LastWindow: &dynamic.WindowStats{MeanLatency: math.Inf(1)}}} {
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, v)
+		if rec.Code != http.StatusInternalServerError {
+			t.Errorf("%T: status %d, want 500: %q", v, rec.Code, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%T: Content-Type %q", v, ct)
+		}
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		var e errorReply
+		if err := dec.Decode(&e); err != nil || !strings.Contains(e.Error, "unsupported value") {
+			t.Errorf("%T: error body %+v, %v", v, e, err)
+		}
+	}
 }
