@@ -36,8 +36,8 @@ cover:
 	$(GO) test -cover ./...
 
 # Brief fuzzing session over the input parsers (problems, networks,
-# checkpoints, fault specs, tenant tables), the levelizer, the snapshot
-# restore path and the run summaries (the same targets as CI's
+# checkpoints, fault specs, tenant tables), the levelizer, the path-count
+# table, the snapshot restore path and the run summaries (the same targets as CI's
 # fuzz-smoke job). Snapshot inputs are kilobytes of JSON and summary
 # samples run long; minimising each new one for the default 60s would
 # eat the whole session.
@@ -46,6 +46,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadNetwork -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzReadCampaignCheckpoint -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzLevelize -fuzztime 30s ./internal/topo/
+	$(GO) test -fuzz FuzzCountTable -fuzztime 30s ./internal/paths/
 	$(GO) test -fuzz FuzzFaultSpec -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzParseTenants -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 30s ./internal/service/

@@ -494,8 +494,8 @@ type dynScript struct {
 }
 
 // runDynamicSuite measures the dynamic engine on the service-smoke
-// butterfly (scale 1) plus two larger butterflies and a faulted variant
-// (scale 2) — the manual-stepped shape scripts/service_smoke.sh drives
+// butterfly (scale 1) plus three larger butterflies and a faulted
+// variant (scale 2) — the manual-stepped shape scripts/service_smoke.sh drives
 // through the HTTP API, minus the HTTP.
 func runDynamicSuite(d *Doc) error {
 	scripts := []dynScript{
@@ -506,9 +506,12 @@ func runDynamicSuite(d *Doc) error {
 	if d.Scale >= 2 {
 		scripts = append(scripts,
 			dynScript{name: "butterfly(7)-service", k: 7, batches: 48, batchSize: 32, advance: 5},
-			// The smallest butterfly whose count rows overflowed the
-			// old int64 table budget, so its draws recounted per packet.
+			// The smallest butterfly whose 8-byte count rows would pass
+			// paths.MaxCountBytes; its one-byte rows fit.
 			dynScript{name: "butterfly(8)-service", k: 8, batches: 48, batchSize: 64, advance: 5},
+			// The smallest butterfly whose one-byte rows passed it, so
+			// most of its draws recounted a cone; its bit rows fit.
+			dynScript{name: "butterfly(10)-service", k: 10, batches: 48, batchSize: 128, advance: 5},
 			dynScript{name: "butterfly(5)-service-faulted", k: 5, batches: 24, batchSize: 16, advance: 5, faulted: true},
 		)
 	}

@@ -14,7 +14,7 @@ var engineSink *Engine
 // reachability lists and the packet columns — as every snapshot restore
 // does.
 func BenchmarkNewEngine(b *testing.B) {
-	for _, k := range []int{7, 8} {
+	for _, k := range []int{7, 8, 10} {
 		b.Run(fmt.Sprintf("butterfly(%d)", k), func(b *testing.B) {
 			g, err := topo.Butterfly(k)
 			if err != nil {
@@ -32,26 +32,31 @@ func BenchmarkNewEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkSubmitStep times one step of a butterfly(8) service engine
-// fed 60 random packets a step: the path draws for those packets plus
-// the step that routes them.
+// BenchmarkSubmitStep times one step of a service engine fed random
+// packets every step: the path draws for those packets plus the step
+// that routes them. butterfly(10) is the smallest butterfly whose
+// one-byte count rows passed paths.MaxCountBytes.
 func BenchmarkSubmitStep(b *testing.B) {
-	g, err := topo.Butterfly(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := NewEngine(g, Config{Seed: 1, Retry: RetryPolicy{MaxAttempts: 8}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.SubmitRandom("bench", 60); err != nil {
-			b.Fatal(err)
-		}
-		if err := e.Step(); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ k, packets int }{{8, 60}, {10, 120}} {
+		b.Run(fmt.Sprintf("butterfly(%d)", c.k), func(b *testing.B) {
+			g, err := topo.Butterfly(c.k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := NewEngine(g, Config{Seed: 1, Retry: RetryPolicy{MaxAttempts: 8}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.SubmitRandom("bench", c.packets); err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

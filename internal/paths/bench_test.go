@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hotpotato/internal/graph"
 	"hotpotato/internal/topo"
 )
 
@@ -64,5 +65,43 @@ func BenchmarkCongestion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		set.Congestion()
+	}
+}
+
+// BenchmarkAppendPath draws paths through a table filled by CountAll,
+// as the service engine does: from every source in turn to a random
+// destination it reaches. Butterfly rows are bit rows, mesh rows bytes.
+func BenchmarkAppendPath(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		g    func() (*graph.Leveled, error)
+	}{
+		{"butterfly(7)", func() (*graph.Leveled, error) { return topo.Butterfly(7) }},
+		{"mesh(16,16)", func() (*graph.Leveled, error) { return topo.Mesh(16, 16, topo.CornerNW) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g, err := c.g()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ct := NewCountTable(g)
+			reach := ct.CountAll()
+			var reqs []Request
+			pick := rand.New(rand.NewSource(4))
+			for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
+				if ds := reach.From(s); len(ds) > 0 {
+					reqs = append(reqs, Request{Src: s, Dst: ds[pick.Intn(len(ds))]})
+				}
+			}
+			rng := rand.New(rand.NewSource(5))
+			buf := make(graph.Path, 0, g.Depth())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := reqs[i%len(reqs)]
+				if buf, err = ct.AppendPath(rng, r.Src, r.Dst, buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -18,14 +18,19 @@ const satCap = 1 << 40
 // draw instead.
 const MaxCountBytes = 32 << 20
 
-// countWord is a count row's entry type; a row uses the narrowest one
-// that holds its largest saturated count.
+// countWord is a byte row's entry type; a row uses the narrowest one
+// that holds its largest saturated count. Rows whose counts are all 0
+// or 1 are bit rows instead (bitWidth).
 type countWord interface {
 	uint8 | uint16 | uint32 | uint64
 }
 
+// bitWidth marks a bit row: one bit per node, packed into uint64 words.
+const bitWidth = 0x80
+
 // countRow locates one destination's kept row: entries of width bytes
-// starting at entry off of that width's arena. width 0 = no row kept.
+// starting at entry off of that width's arena, or for a bit row words
+// starting at word off of the bit arena. width 0 = no row kept.
 type countRow struct {
 	off   int32
 	width uint8
@@ -34,13 +39,14 @@ type countRow struct {
 // CountTable holds saturating forward-path counts, one row per
 // destination: row d, entry v is the number of forward paths from v to
 // d (capped at 2^40), which is positive exactly when v forward-reaches
-// d. Each row is stored at the narrowest width (1, 2, 4 or 8 bytes)
-// that holds its largest count — on a butterfly every count is 0 or 1 —
-// carved from one arena per width. Rows are kept while their total
-// size stays within the byte budget; a destination past it is recounted
-// into a full-width scratch row whenever it is drawn to. A row is a
-// pure function of its destination, so every caching outcome draws the
-// same paths with the same RNG consumption.
+// d. Each row is stored at the narrowest width that holds its largest
+// count — one bit per node when every count is 0 or 1, as on a
+// butterfly, Beneš or Omega network, else 1, 2, 4 or 8 bytes — carved
+// from one arena per width. Rows are kept while their total size stays
+// within the byte budget; a destination past it is recounted into a
+// full-width scratch row whenever it is drawn to. A row is a pure
+// function of its destination, so every caching outcome draws the same
+// paths with the same RNG consumption.
 //
 // Not safe for concurrent use.
 type CountTable struct {
@@ -49,10 +55,11 @@ type CountTable struct {
 	used   int
 	rows   []countRow // by destination; nil until a row is kept
 
-	w1 []uint8
-	w2 []uint16
-	w4 []uint32
-	w8 []uint64
+	bits []uint64 // bit rows, rowWords words each
+	w1   []uint8
+	w2   []uint16
+	w4   []uint32
+	w8   []uint64
 
 	// scratch holds the full-width counts to scratchDst (NoNode: none);
 	// cone lists the nodes where they are nonzero.
@@ -105,9 +112,11 @@ func (t *CountTable) count(dst graph.NodeID) uint64 {
 	return top
 }
 
-// widthFor is the narrowest entry width that holds top.
+// widthFor is the narrowest row width that holds top.
 func widthFor(top uint64) uint8 {
 	switch {
+	case top <= 1:
+		return bitWidth
 	case top <= 0xff:
 		return 1
 	case top <= 0xffff:
@@ -118,18 +127,37 @@ func widthFor(top uint64) uint8 {
 	return 8
 }
 
+// rowWords is the length of a bit row in words.
+func (t *CountTable) rowWords() int {
+	return (t.g.NumNodes() + 63) / 64
+}
+
+// rowBytes is a row's budget charge at width w: its entries, or for a
+// bit row its whole words.
+func (t *CountTable) rowBytes(w uint8) int {
+	if w == bitWidth {
+		return 8 * t.rowWords()
+	}
+	return t.g.NumNodes() * int(w)
+}
+
 // keep stores the scratch counts to dst as a row of width w when the
 // budget allows.
 func (t *CountTable) keep(dst graph.NodeID, w uint8) {
-	nn := t.g.NumNodes()
-	if t.used+nn*int(w) > t.budget {
+	if t.used+t.rowBytes(w) > t.budget {
 		return
 	}
 	if t.rows == nil {
-		t.rows = make([]countRow, nn)
+		t.rows = make([]countRow, t.g.NumNodes())
 	}
 	var off int
 	switch w {
+	case bitWidth:
+		off = len(t.bits)
+		t.bits = append(t.bits, make([]uint64, t.rowWords())...)
+		for _, v := range t.cone {
+			t.bits[off+int(v>>6)] |= 1 << (v & 63)
+		}
 	case 1:
 		off, t.w1 = appendRow(t.w1, t.scratch, t.cone)
 	case 2:
@@ -140,7 +168,7 @@ func (t *CountTable) keep(dst graph.NodeID, w uint8) {
 		off, t.w8 = appendRow(t.w8, t.scratch, t.cone)
 	}
 	t.rows[dst] = countRow{off: int32(off), width: w}
-	t.used += nn * int(w)
+	t.used += t.rowBytes(w)
 }
 
 // appendRow appends a zeroed row of len(cnt) entries to arena, copies
@@ -170,6 +198,8 @@ func (t *CountTable) at(dst, v graph.NodeID) uint64 {
 	r := t.rowOf(dst)
 	i := int(r.off) + int(v)
 	switch r.width {
+	case bitWidth:
+		return t.bits[int(r.off)+int(v>>6)] >> (v & 63) & 1
 	case 1:
 		return uint64(t.w1[i])
 	case 2:
@@ -207,6 +237,8 @@ func (t *CountTable) AppendPath(rng *rand.Rand, src, dst graph.NodeID, buf graph
 	nn := t.g.NumNodes()
 	lo, hi := int(r.off), int(r.off)+nn
 	switch r.width {
+	case bitWidth:
+		return drawBits(t.g, rng, src, dst, t.bits[lo:lo+t.rowWords()], buf)
 	case 1:
 		return drawPath(t.g, rng, src, dst, t.w1[lo:hi], buf)
 	case 2:
@@ -253,6 +285,31 @@ func drawPath[T countWord](g *graph.Leveled, rng *rand.Rand, src, dst graph.Node
 	return buf, nil
 }
 
+// drawBits is drawPath on a bit row: every count is 0 or 1, so each
+// hop's total is 1 and the draw takes the first up-neighbour whose bit
+// is set. It still calls rng.Int63n(1) per hop, consuming the RNG as
+// drawPath does; the hop's Up list is loaded before that call, as
+// drawPath loads it, so the load overlaps the call.
+func drawBits(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, bits []uint64, buf graph.Path) (graph.Path, error) {
+	set := func(v graph.NodeID) bool { return bits[v>>6]>>(v&63)&1 != 0 }
+	if !set(src) {
+		return nil, fmt.Errorf("paths: node %d cannot reach %d forward", src, dst)
+	}
+	cur := src
+	for cur != dst {
+		up := g.Node(cur).Up
+		rng.Int63n(1)
+		for _, e := range up {
+			if next := g.EndpointAt(e, graph.Forward); set(next) {
+				buf = append(buf, e)
+				cur = next
+				break
+			}
+		}
+	}
+	return buf, nil
+}
+
 // Reach lists, for every node s, the destinations s forward-reaches
 // (s itself excluded) in ascending order, carved from one flat arena.
 type Reach struct {
@@ -276,9 +333,11 @@ func (r *Reach) Contains(s, d graph.NodeID) bool {
 // nodes some other node forward-reaches — in ascending ID order, keeping
 // rows while the budget lasts, and reads each node's reachable
 // destinations off the counts: s reaches d ≠ s when row d is positive
-// at s, that is when s is on d's cone. The lists are sized by the first
-// pass and filled by a second that walks each cone again: a cone walk
-// is cheap next to holding every cone between the passes.
+// at s, that is when s is on d's cone. The first pass counts each cone
+// to size the lists and to decide which rows the budget keeps at which
+// width, so every arena is allocated once at its final size; the second
+// walks each cone again to keep the rows and fill the lists. A cone
+// walk is cheap next to holding every cone between the passes.
 func (t *CountTable) CountAll() *Reach {
 	g := t.g
 	nn := g.NumNodes()
@@ -288,26 +347,36 @@ func (t *CountTable) CountAll() *Reach {
 			dsts = append(dsts, v)
 		}
 	}
-	if t.rows == nil {
-		t.w1 = make([]uint8, 0, min(len(dsts)*nn, t.budget-t.used))
-	}
 	r := &Reach{off: make([]int32, nn+1)}
-	for _, d := range dsts {
-		t.keep(d, widthFor(t.count(d)))
+	widths := make([]uint8, len(dsts)) // 0: not kept
+	var rows [bitWidth + 1]int         // kept rows by width
+	used := t.used
+	for i, d := range dsts {
+		w := widthFor(t.count(d))
+		if t.rowOf(d).width == 0 && used+t.rowBytes(w) <= t.budget {
+			widths[i] = w
+			rows[w]++
+			used += t.rowBytes(w)
+		}
 		for _, v := range t.cone[1:] {
 			r.off[v+1]++
 		}
 	}
-	if len(t.w1) < cap(t.w1) {
-		t.w1 = slices.Clone(t.w1)
-	}
+	t.bits = slices.Grow(t.bits, rows[bitWidth]*t.rowWords())
+	t.w1 = slices.Grow(t.w1, rows[1]*nn)
+	t.w2 = slices.Grow(t.w2, rows[2]*nn)
+	t.w4 = slices.Grow(t.w4, rows[4]*nn)
+	t.w8 = slices.Grow(t.w8, rows[8]*nn)
 	for v := 0; v < nn; v++ {
 		r.off[v+1] += r.off[v]
 	}
 	r.dst = make([]graph.NodeID, r.off[nn])
 	next := slices.Clone(r.off[:nn])
-	for _, d := range dsts {
+	for i, d := range dsts {
 		t.count(d)
+		if widths[i] != 0 {
+			t.keep(d, widths[i])
+		}
 		for _, v := range t.cone[1:] {
 			r.dst[next[v]] = d
 			next[v]++

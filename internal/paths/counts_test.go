@@ -14,7 +14,11 @@ import (
 // full-width counts, computed independently of CountTable — with the
 // weighted per-hop draw RandomForwardPath documents.
 func refPath(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID) graph.Path {
-	cnt := g.CountForwardPaths(dst, satCap)
+	return refDraw(g, g.CountForwardPaths(dst, satCap), rng, src, dst)
+}
+
+// refDraw is refPath's draw over the given counts to dst.
+func refDraw(g *graph.Leveled, cnt []int64, rng *rand.Rand, src, dst graph.NodeID) graph.Path {
 	var p graph.Path
 	for cur := src; cur != dst; {
 		var total int64
@@ -36,11 +40,15 @@ func refPath(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID) graph.Path
 }
 
 // TestCountRowWidths checks each row takes the narrowest width that
-// holds its largest count, and that draws on every width consume the
-// RNG exactly as RandomForwardPath and the full-width reference do.
+// holds its largest count — a bit row when every count is 0 or 1 — and
+// that draws on every width consume the RNG exactly as
+// RandomForwardPath and the full-width reference do.
 func TestCountRowWidths(t *testing.T) {
 	must := mustTopo(t)
 	bfly := must(topo.Butterfly(5))
+	benes := must(topo.Benes(3))
+	omega := must(topo.Omega(4))
+	mesh := must(topo.Mesh(7, 6, topo.CornerNW))
 	cases := []struct {
 		name  string
 		g     *graph.Leveled
@@ -48,11 +56,19 @@ func TestCountRowWidths(t *testing.T) {
 		width int
 		top   uint64 // count at the level-0 source of the draws
 	}{
-		// Every butterfly count is 0 or 1.
-		{"butterfly(5) top", bfly, bfly.Level(5)[7], 1, 1},
-		{"butterfly(5) mid", bfly, bfly.Level(3)[0], 1, 1},
+		// Every butterfly and Omega count is 0 or 1: bit rows.
+		{"butterfly(5) top", bfly, bfly.Level(5)[7], bitWidth, 1},
+		{"butterfly(5) mid", bfly, bfly.Level(3)[0], bitWidth, 1},
+		{"omega(4) top", omega, omega.Level(4)[5], bitWidth, 1},
+		// Beneš is a butterfly then a reversed one: unique paths up to
+		// the middle level, 2^j of them j levels past it.
+		{"benes(3) mid", benes, benes.Level(3)[5], bitWidth, 1},
+		{"benes(3) top", benes, benes.Level(6)[5], 1, 8},
+		// A node on the mesh's first row has one path from each node
+		// that reaches it.
+		{"mesh(7,6) row", mesh, topo.MeshNode(6, 0, 4), bitWidth, 1},
 		// Mesh counts are binomials: C(2,1) = 2 to (1,1).
-		{"mesh(7,6) near", must(topo.Mesh(7, 6, topo.CornerNW)), topo.MeshNode(6, 1, 1), 1, 2},
+		{"mesh(7,6) near", mesh, topo.MeshNode(6, 1, 1), 1, 2},
 		// C(14,7) = 3432 to the far corner; the next hops' counts pass
 		// 255 too, so a truncated row would skew the draws.
 		{"mesh(8,8) far", must(topo.Mesh(8, 8, topo.CornerNW)), topo.MeshNode(8, 7, 7), 2, 3432},
@@ -164,6 +180,31 @@ func TestCountAllReach(t *testing.T) {
 		}
 		if full.used == 0 || full.used > MaxCountBytes {
 			t.Fatalf("%s: kept %d bytes of rows", g.Name(), full.used)
+		}
+	}
+}
+
+// TestCountAllButterfly10 checks the bit rows' capability: CountAll on
+// butterfly(10) keeps a row for every destination within MaxCountBytes
+// (one-byte rows would take 110 MiB), and the reachability lists read
+// off them match per-source BFS on a sample of sources.
+func TestCountAllButterfly10(t *testing.T) {
+	g := mustTopo(t)(topo.Butterfly(10))
+	ct := NewCountTable(g)
+	reach := ct.CountAll()
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		if len(g.Node(v).Down) > 0 && ct.rowOf(v).width != bitWidth {
+			t.Fatalf("destination %d: row width %d, want a bit row", v, ct.rowOf(v).width)
+		}
+	}
+	if ct.used > MaxCountBytes {
+		t.Fatalf("rows take %d bytes, past the %d-byte budget", ct.used, MaxCountBytes)
+	}
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 40; i++ {
+		s := graph.NodeID(rng.Intn(g.NumNodes()))
+		if got, want := reach.From(s), bfsReach(g, s); !slices.Equal(got, want) {
+			t.Fatalf("reach(%d) = %d destinations, BFS %d", s, len(got), len(want))
 		}
 	}
 }

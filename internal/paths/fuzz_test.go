@@ -1,0 +1,105 @@
+package paths
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"hotpotato/internal/graph"
+	"hotpotato/internal/topo"
+)
+
+// FuzzCountTable checks every row of CountTables over random leveled
+// DAGs against graph.CountForwardPaths: one table filled by CountAll
+// with the full budget, and one filled lazily as rows are read, in a
+// shuffled destination order, under a budget taken from the input so
+// that some destinations are recounted on every read. Every row must hold the exact
+// saturated counts at every node, be kept at the narrowest width that
+// holds them (bit, 1, 2, 4 or 8 bytes), and draw the same paths with
+// the same final RNG state as refDraw.
+func FuzzCountTable(f *testing.F) {
+	f.Add(int64(1), uint8(24), uint8(40), uint16(300))
+	f.Add(int64(2), uint8(70), uint8(12), uint16(50)) // multi-word bit rows
+	f.Add(int64(5), uint8(40), uint8(120), uint16(0)) // every draw recounts
+	f.Add(int64(4), uint8(5), uint8(255), uint16(9000))
+	f.Fuzz(func(t *testing.T, seed int64, n, density uint8, budget uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		dagNodes := 2 + int(n)%96
+		g, _, err := topo.Levelize("fuzz", dagNodes, topo.RandomDAG(rng, dagNodes, float64(density)/1024))
+		if err != nil {
+			t.Fatalf("Levelize rejected a random DAG: %v", err)
+		}
+		// Levelize adds a relay node per level a DAG edge skips, so dense
+		// DAGs grow fast; every check is quadratic in the nodes or worse.
+		nn := g.NumNodes()
+		if nn > maxFuzzNodes {
+			return
+		}
+		full := NewCountTable(g)
+		full.CountAll()
+		lazy := newCountTable(g, int(budget))
+		dsts := rng.Perm(nn)
+		for _, d := range dsts {
+			dst := graph.NodeID(d)
+			want := g.CountForwardPaths(dst, satCap)
+			top := slices.Max(want)
+			for _, ct := range []*CountTable{full, lazy} {
+				for v := graph.NodeID(0); int(v) < nn; v++ {
+					if got := ct.at(dst, v); got != uint64(want[v]) {
+						t.Fatalf("row %d at %d = %d, want %d", dst, v, got, want[v])
+					}
+				}
+				w := ct.rowOf(dst).width
+				if ct == full && w == 0 && len(g.Node(dst).Down) > 0 {
+					t.Fatalf("CountAll kept no row for %d", dst)
+				}
+				if w != 0 && w != narrowest(top) {
+					t.Fatalf("row %d (largest count %d) has width %d, want %d", dst, top, w, narrowest(top))
+				}
+				drawAll(t, ct, want, dst)
+			}
+		}
+	})
+}
+
+const maxFuzzNodes = 400
+
+// narrowest is the row width that holds top: a bit row for 0 or 1,
+// else the fewest bytes.
+func narrowest(top int64) uint8 {
+	switch {
+	case top <= 1:
+		return bitWidth
+	case top < 1<<8:
+		return 1
+	case top < 1<<16:
+		return 2
+	case top < 1<<32:
+		return 4
+	}
+	return 8
+}
+
+// drawAll draws a path to dst from every node that reaches it through
+// ct and through refDraw from the same seed, and requires the same
+// paths and the same RNG state afterwards.
+func drawAll(t *testing.T, ct *CountTable, want []int64, dst graph.NodeID) {
+	t.Helper()
+	g := ct.g
+	rt, rr := rand.New(rand.NewSource(int64(dst))), rand.New(rand.NewSource(int64(dst)))
+	for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
+		if s == dst || want[s] == 0 {
+			continue
+		}
+		got, err := ct.AppendPath(rt, s, dst, nil)
+		if err != nil {
+			t.Fatalf("%d→%d: %v", s, dst, err)
+		}
+		if ref := refDraw(g, want, rr, s, dst); !slices.Equal(got, ref) {
+			t.Fatalf("%d→%d drew %v, reference %v", s, dst, got, ref)
+		}
+	}
+	if a, b := rt.Int63(), rr.Int63(); a != b {
+		t.Fatalf("paths to %d: next rng draws %d, reference %d", dst, a, b)
+	}
+}

@@ -143,15 +143,15 @@ func TestSelectMatchesPerRequestReference(t *testing.T) {
 
 // TestSelectPastCacheCap routes 1024 butterfly(10) sources to 1024
 // distinct top-level nodes through a table whose byte budget keeps only
-// 96 one-byte rows, then revisits early destinations. Draws must match
-// the per-request reference, and the table must show the premise held:
-// the budget is full and every destination past the first 96 kept no
-// row, so each draw to one recounted it into the scratch.
+// 96 bit rows, then revisits early destinations. Draws must match the
+// per-request reference, and the table must show the premise held: the
+// budget is full and every destination past the first 96 kept no row,
+// so each draw to one recounted it into the scratch.
 func TestSelectPastCacheCap(t *testing.T) {
 	g := mustTopo(t)(topo.Butterfly(10))
 	bottom, top := g.Level(0), g.Level(g.Depth())
 	const keptRows = 96
-	budget := keptRows * g.NumNodes()
+	budget := keptRows * 8 * ((g.NumNodes() + 63) / 64)
 	perm := rand.New(rand.NewSource(8)).Perm(len(top))
 	reqs := make([]Request, len(bottom))
 	for i, s := range bottom {
