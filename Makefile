@@ -37,7 +37,7 @@ cover:
 
 # Brief fuzzing session over the input parsers (problems, networks,
 # checkpoints, fault specs, tenant tables), the levelizer, the path-count
-# table, the snapshot restore path and the run summaries (the same targets as CI's
+# table, the reach matrix, the snapshot restore path and the run summaries (the same targets as CI's
 # fuzz-smoke job). Snapshot inputs are kilobytes of JSON and summary
 # samples run long; minimising each new one for the default 60s would
 # eat the whole session.
@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadCampaignCheckpoint -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzLevelize -fuzztime 30s ./internal/topo/
 	$(GO) test -fuzz FuzzCountTable -fuzztime 30s ./internal/paths/
+	$(GO) test -fuzz FuzzReach -fuzztime 30s ./internal/paths/
 	$(GO) test -fuzz FuzzFaultSpec -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzParseTenants -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 30s ./internal/service/

@@ -507,10 +507,12 @@ func runDynamicSuite(d *Doc) error {
 		scripts = append(scripts,
 			dynScript{name: "butterfly(7)-service", k: 7, batches: 48, batchSize: 32, advance: 5},
 			// The smallest butterfly whose 8-byte count rows would pass
-			// paths.MaxCountBytes; its one-byte rows fit.
+			// paths.MaxCountBytes. Butterflies are unique-path, so this
+			// row and the next draw paths off the reach matrix (0.8 MiB
+			// here) and keep no count rows.
 			dynScript{name: "butterfly(8)-service", k: 8, batches: 48, batchSize: 64, advance: 5},
-			// The smallest butterfly whose one-byte rows passed it, so
-			// most of its draws recounted a cone; its bit rows fit.
+			// The smallest butterfly whose one-byte count rows passed
+			// it; its reach matrix takes 19 MiB.
 			dynScript{name: "butterfly(10)-service", k: 10, batches: 48, batchSize: 128, advance: 5},
 			dynScript{name: "butterfly(5)-service-faulted", k: 5, batches: 24, batchSize: 16, advance: 5, faulted: true},
 		)

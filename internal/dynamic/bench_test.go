@@ -10,11 +10,11 @@ import (
 // engineSink keeps the benchmarked builds observable.
 var engineSink *Engine
 
-// BenchmarkNewEngine builds a service engine — the count rows, the
-// reachability lists and the packet columns — as every snapshot restore
-// does.
+// BenchmarkNewEngine builds a service engine — the reach matrix and the
+// packet columns — as every snapshot restore does. butterfly(11) is the
+// largest butterfly whose matrix fits paths.MaxReachBytes.
 func BenchmarkNewEngine(b *testing.B) {
-	for _, k := range []int{7, 8, 10} {
+	for _, k := range []int{7, 8, 10, 11} {
 		b.Run(fmt.Sprintf("butterfly(%d)", k), func(b *testing.B) {
 			g, err := topo.Butterfly(k)
 			if err != nil {

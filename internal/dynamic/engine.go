@@ -55,13 +55,16 @@ type Engine struct {
 	rng *rand.Rand
 
 	// sources are the nodes with a forward-reachable destination, in ID
-	// order; reach lists those destinations per node.
+	// order. reach is the forward-reach bit matrix: Submit's accept test,
+	// the random destination draw (the k-th node a source reaches) and,
+	// on a unique-path network, the path draw.
 	sources []graph.NodeID
 	reach   *paths.Reach
 
-	// counts holds one forward-path-count row per destination (every
-	// node with a Down edge, within paths.MaxCountBytes), so a path draw
-	// walks a precomputed row instead of running an O(V+E) counting pass.
+	// counts draws paths on a multi-path network. A destination's row of
+	// forward-path counts is counted on the first draw to it and kept
+	// while the rows fit paths.MaxCountBytes. nil on a unique-path
+	// network, whose paths reach alone determines.
 	counts *paths.CountTable
 
 	// Packet columns, indexed by slot. A slot is recycled through free
@@ -198,13 +201,18 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	}
 	e.rng = rand.New(e.src)
 
-	// Count a row for every destination; each node's reachable
-	// destinations are read off the counts, and the eligible sources are
-	// the nodes that reach any.
-	e.counts = paths.NewCountTable(g)
-	e.reach = e.counts.CountAll()
+	// One reach matrix; count rows only where paths are not unique. The
+	// eligible sources are the nodes that reach any other.
+	reach, err := paths.NewReach(g)
+	if err != nil {
+		return nil, fmt.Errorf("dynamic: %w", err)
+	}
+	e.reach = reach
+	if !reach.Unique() {
+		e.counts = paths.NewCountTable(g)
+	}
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if len(e.reach.From(v)) > 0 {
+		if reach.Len(v) > 0 {
 			e.sources = append(e.sources, v)
 		}
 	}
@@ -379,9 +387,13 @@ func (e *Engine) offerPending(en pendingEntry) {
 }
 
 // drawPath samples a forward src→dst path into a pooled buffer — the
-// RNG consumption of paths.RandomForwardPath, minus its counting pass
-// whenever dst has a kept row.
+// path and RNG consumption of paths.RandomForwardPath, minus its
+// counting pass: off the reach matrix on a unique-path network, else
+// through a count row.
 func (e *Engine) drawPath(src, dst graph.NodeID) ([]graph.EdgeID, error) {
+	if e.counts == nil {
+		return e.reach.AppendPath(e.rng, src, dst, e.borrowQBuf())
+	}
 	return e.counts.AppendPath(e.rng, src, dst, e.borrowQBuf())
 }
 
@@ -643,8 +655,7 @@ func (e *Engine) Step() error {
 			en := e.pending[i]
 			if en.random {
 				s := e.sources[e.rng.Intn(len(e.sources))]
-				cands := e.reach.From(s)
-				en.src, en.dst = s, cands[e.rng.Intn(len(cands))]
+				en.src, en.dst = s, e.reach.Nth(s, e.rng.Intn(e.reach.Len(s)))
 				en.random = false
 			}
 			if en.path == nil {
@@ -680,8 +691,7 @@ func (e *Engine) Step() error {
 				continue
 			}
 			res.Offered++
-			cands := e.reach.From(s)
-			dst := cands[e.rng.Intn(len(cands))]
+			dst := e.reach.Nth(s, e.rng.Intn(e.reach.Len(s)))
 			path, err := e.drawPath(s, dst)
 			if err != nil {
 				return err

@@ -2,10 +2,13 @@ package dynamic
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"hotpotato/internal/graph"
+	"hotpotato/internal/paths"
 	"hotpotato/internal/topo"
 )
 
@@ -60,5 +63,38 @@ func TestSubmitAcceptsExactlyForwardPairs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNewEngineReachBudget checks that a network whose reach matrix
+// would pass paths.MaxReachBytes is refused with an error naming the
+// matrix size and the budget, before anything that size is allocated:
+// a levelized dense random DAG on 132 nodes grows to 234,665 nodes once
+// relays fill the levels its edges skip, a matrix of 8.6 GB.
+func TestNewEngineReachBudget(t *testing.T) {
+	g, _, err := topo.Levelize("dense-dag", 132, topo.RandomDAG(rand.New(rand.NewSource(3)), 132, 200.0/255))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 234665 {
+		t.Fatalf("levelized DAG has %d nodes, want 234665", g.NumNodes())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = NewEngine(g, Config{Seed: 1})
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("refusing the network allocated %d bytes", n)
+	}
+	if err == nil {
+		t.Fatal("NewEngine accepted a network past the reach budget")
+	}
+	for _, want := range []string{"234665 nodes", "8606104210 bytes", "134217728-byte budget"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if paths.MaxReachBytes != 134217728 {
+		t.Fatalf("MaxReachBytes = %d; restate the expected error", paths.MaxReachBytes)
 	}
 }

@@ -1,6 +1,7 @@
 package paths
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -68,9 +69,10 @@ func BenchmarkCongestion(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendPath draws paths through a table filled by CountAll,
-// as the service engine does: from every source in turn to a random
-// destination it reaches. Butterfly rows are bit rows, mesh rows bytes.
+// BenchmarkAppendPath draws paths through a CountTable whose rows are
+// all kept, as a multi-path service engine's are once warm: from every
+// source in turn to a random destination it reaches. Butterfly rows are
+// bit rows, mesh rows bytes.
 func BenchmarkAppendPath(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -84,14 +86,21 @@ func BenchmarkAppendPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			reach, err := NewReach(g)
+			if err != nil {
+				b.Fatal(err)
+			}
 			ct := NewCountTable(g)
-			reach := ct.CountAll()
 			var reqs []Request
 			pick := rand.New(rand.NewSource(4))
 			for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
-				if ds := reach.From(s); len(ds) > 0 {
-					reqs = append(reqs, Request{Src: s, Dst: ds[pick.Intn(len(ds))]})
+				if n := reach.Len(s); n > 0 {
+					d := reach.Nth(s, pick.Intn(n))
+					reqs = append(reqs, Request{Src: s, Dst: d})
 				}
+			}
+			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+				ct.at(v, 0)
 			}
 			rng := rand.New(rand.NewSource(5))
 			buf := make(graph.Path, 0, g.Depth())
@@ -99,6 +108,40 @@ func BenchmarkAppendPath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := reqs[i%len(reqs)]
 				if buf, err = ct.AppendPath(rng, r.Src, r.Dst, buf[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPickDestination times the service engine's random packet on
+// a unique-path network: a random source, a random destination it
+// reaches (Nth) and the path draw off the reach matrix.
+func BenchmarkPickDestination(b *testing.B) {
+	for _, k := range []int{7, 10} {
+		b.Run(fmt.Sprintf("butterfly(%d)", k), func(b *testing.B) {
+			g, err := topo.Butterfly(k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reach, err := NewReach(g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sources []graph.NodeID
+			for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
+				if reach.Len(s) > 0 {
+					sources = append(sources, s)
+				}
+			}
+			rng := rand.New(rand.NewSource(6))
+			buf := make(graph.Path, 0, g.Depth())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := sources[rng.Intn(len(sources))]
+				d := reach.Nth(s, rng.Intn(reach.Len(s)))
+				if buf, err = reach.AppendPath(rng, s, d, buf[:0]); err != nil {
 					b.Fatal(err)
 				}
 			}

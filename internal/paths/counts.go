@@ -3,7 +3,6 @@ package paths
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"hotpotato/internal/graph"
 )
@@ -13,9 +12,9 @@ import (
 const satCap = 1 << 40
 
 // MaxCountBytes bounds the count rows one CountTable keeps at once:
-// batch path selection and the open-system engine both keep rows while
-// their total size stays within it and recount later destinations per
-// draw instead.
+// batch path selection and the open-system engine on a multi-path
+// network both keep rows while their total size stays within it and
+// recount later destinations per draw instead.
 const MaxCountBytes = 32 << 20
 
 // countWord is a byte row's entry type; a row uses the narrowest one
@@ -308,79 +307,4 @@ func drawBits(g *graph.Leveled, rng *rand.Rand, src, dst graph.NodeID, bits []ui
 		}
 	}
 	return buf, nil
-}
-
-// Reach lists, for every node s, the destinations s forward-reaches
-// (s itself excluded) in ascending order, carved from one flat arena.
-type Reach struct {
-	off []int32 // From(s) = dst[off[s]:off[s+1]]
-	dst []graph.NodeID
-}
-
-// From returns the destinations s forward-reaches, ascending. The slice
-// is shared; do not mutate.
-func (r *Reach) From(s graph.NodeID) []graph.NodeID {
-	return r.dst[r.off[s]:r.off[s+1]]
-}
-
-// Contains reports whether s forward-reaches d ≠ s.
-func (r *Reach) Contains(s, d graph.NodeID) bool {
-	_, ok := slices.BinarySearch(r.From(s), d)
-	return ok
-}
-
-// CountAll counts a row for every node with a Down edge — exactly the
-// nodes some other node forward-reaches — in ascending ID order, keeping
-// rows while the budget lasts, and reads each node's reachable
-// destinations off the counts: s reaches d ≠ s when row d is positive
-// at s, that is when s is on d's cone. The first pass counts each cone
-// to size the lists and to decide which rows the budget keeps at which
-// width, so every arena is allocated once at its final size; the second
-// walks each cone again to keep the rows and fill the lists. A cone
-// walk is cheap next to holding every cone between the passes.
-func (t *CountTable) CountAll() *Reach {
-	g := t.g
-	nn := g.NumNodes()
-	var dsts []graph.NodeID
-	for v := graph.NodeID(0); int(v) < nn; v++ {
-		if len(g.Node(v).Down) > 0 {
-			dsts = append(dsts, v)
-		}
-	}
-	r := &Reach{off: make([]int32, nn+1)}
-	widths := make([]uint8, len(dsts)) // 0: not kept
-	var rows [bitWidth + 1]int         // kept rows by width
-	used := t.used
-	for i, d := range dsts {
-		w := widthFor(t.count(d))
-		if t.rowOf(d).width == 0 && used+t.rowBytes(w) <= t.budget {
-			widths[i] = w
-			rows[w]++
-			used += t.rowBytes(w)
-		}
-		for _, v := range t.cone[1:] {
-			r.off[v+1]++
-		}
-	}
-	t.bits = slices.Grow(t.bits, rows[bitWidth]*t.rowWords())
-	t.w1 = slices.Grow(t.w1, rows[1]*nn)
-	t.w2 = slices.Grow(t.w2, rows[2]*nn)
-	t.w4 = slices.Grow(t.w4, rows[4]*nn)
-	t.w8 = slices.Grow(t.w8, rows[8]*nn)
-	for v := 0; v < nn; v++ {
-		r.off[v+1] += r.off[v]
-	}
-	r.dst = make([]graph.NodeID, r.off[nn])
-	next := slices.Clone(r.off[:nn])
-	for i, d := range dsts {
-		t.count(d)
-		if widths[i] != 0 {
-			t.keep(d, widths[i])
-		}
-		for _, v := range t.cone[1:] {
-			r.dst[next[v]] = d
-			next[v]++
-		}
-	}
-	return r
 }

@@ -127,46 +127,57 @@ func reachTopologies(t *testing.T) []*graph.Leveled {
 	}
 }
 
-// bfsReach is the definition CountAll must match: the nodes s reaches
-// forward, s excluded, in ascending order.
-func bfsReach(g *graph.Leveled, s graph.NodeID) []graph.NodeID {
-	reach := g.ForwardReachableFrom(s)
-	var out []graph.NodeID
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if v != s && reach[v] {
-			out = append(out, v)
-		}
+// checkReach checks row s of the matrix against graph's BFS from s:
+// Contains at every node, Len, and Nth(s, k) against the k-th node the
+// BFS reaches in ascending order, s excluded.
+func checkReach(t *testing.T, g *graph.Leveled, reach *Reach, s graph.NodeID) {
+	t.Helper()
+	fwd := g.ForwardReachableFrom(s)
+	fwd[s] = false
+	if want := len(slices.DeleteFunc(slices.Clone(fwd), func(b bool) bool { return !b })); reach.Len(s) != want {
+		t.Fatalf("%s: Len(%d) = %d, BFS %d", g.Name(), s, reach.Len(s), want)
 	}
-	return out
+	k := 0
+	for d := graph.NodeID(0); int(d) < g.NumNodes(); d++ {
+		if reach.Contains(s, d) != fwd[d] {
+			t.Fatalf("%s: Contains(%d, %d) = %v", g.Name(), s, d, !fwd[d])
+		}
+		if !fwd[d] {
+			continue
+		}
+		if got := reach.Nth(s, k); got != d {
+			t.Fatalf("%s: Nth(%d, %d) = %d, BFS %d", g.Name(), s, k, got, d)
+		}
+		k++
+	}
 }
 
-// TestCountAllReach checks the reachability lists read off the rows
-// against per-source BFS, with every row kept and with a budget that
-// keeps only some, and that draws past the budget (recounted per draw)
-// match RandomForwardPath.
-func TestCountAllReach(t *testing.T) {
+// TestReach checks the reach matrix against per-source BFS and its
+// unique-path verdict against the topology, and checks draws to every
+// reachable pair against RandomForwardPath: off the matrix on the
+// unique-path networks, and on every network through a CountTable with
+// every row kept and through one whose budget keeps only some, so that
+// draws past it are recounted per draw.
+func TestReach(t *testing.T) {
+	unique := map[string]bool{"butterfly(5)": true, "omega(4)": true}
 	for _, g := range reachTopologies(t) {
+		reach, err := NewReach(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reach.Unique() != unique[g.Name()] {
+			t.Fatalf("%s: Unique() = %v", g.Name(), reach.Unique())
+		}
+		for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
+			checkReach(t, g, reach, s)
+		}
 		full := NewCountTable(g)
 		for _, ct := range []*CountTable{full, newCountTable(g, 3*g.NumNodes())} {
-			reach := ct.CountAll()
 			name := fmt.Sprintf("%s/budget=%d", g.Name(), ct.budget)
-			if ct != full && ct.used == full.used {
-				t.Fatalf("%s: every row kept; the recount path is not exercised", name)
-			}
+			rt, rm, rr := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
 			for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
-				got, want := reach.From(s), bfsReach(g, s)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: reach(%d) = %v, BFS %v", name, s, got, want)
-				}
-				for d := graph.NodeID(0); int(d) < g.NumNodes(); d++ {
-					if reach.Contains(s, d) != slices.Contains(want, d) {
-						t.Fatalf("%s: Contains(%d, %d) = %v", name, s, d, !slices.Contains(want, d))
-					}
-				}
-			}
-			rt, rr := rand.New(rand.NewSource(4)), rand.New(rand.NewSource(4))
-			for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
-				for _, d := range reach.From(s) {
+				for k := 0; k < reach.Len(s); k++ {
+					d := reach.Nth(s, k)
 					got, err := ct.AppendPath(rt, s, d, nil)
 					if err != nil {
 						t.Fatalf("%s: %d→%d: %v", name, s, d, err)
@@ -175,25 +186,56 @@ func TestCountAllReach(t *testing.T) {
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s: %d→%d drew %v, RandomForwardPath %v", name, s, d, got, want)
 					}
+					if ct != full || !reach.Unique() {
+						continue
+					}
+					if got, err = reach.AppendPath(rm, s, d, nil); err != nil || !slices.Equal(got, want) {
+						t.Fatalf("%s: %d→%d drew %v (%v) off the matrix, RandomForwardPath %v", name, s, d, got, err, want)
+					}
 				}
+			}
+			a, m, b := rt.Int63(), rm.Int63(), rr.Int63()
+			if a != b || ct == full && reach.Unique() && m != b {
+				t.Fatalf("%s: next rng draws %d, %d off the matrix, RandomForwardPath %d", name, a, m, b)
+			}
+			if ct != full && ct.used == full.used {
+				t.Fatalf("%s: every row kept; the recount path is not exercised", name)
 			}
 		}
 		if full.used == 0 || full.used > MaxCountBytes {
 			t.Fatalf("%s: kept %d bytes of rows", g.Name(), full.used)
 		}
+		src := graph.NodeID(0)
+		for reach.Len(src) == 0 {
+			src++
+		}
+		if _, err := reach.AppendPath(rand.New(rand.NewSource(1)), src, reach.Nth(src, 0), nil); (err == nil) != reach.Unique() {
+			t.Fatalf("%s: matrix draw error %v on a network with Unique() = %v", g.Name(), err, reach.Unique())
+		}
 	}
 }
 
-// TestCountAllButterfly10 checks the bit rows' capability: CountAll on
-// butterfly(10) keeps a row for every destination within MaxCountBytes
-// (one-byte rows would take 110 MiB), and the reachability lists read
-// off them match per-source BFS on a sample of sources.
-func TestCountAllButterfly10(t *testing.T) {
+// TestReachButterfly10 checks the matrix's capability: butterfly(10)
+// fits MaxReachBytes as one unique-path matrix whose rows match
+// per-source BFS on a sample of sources, and whose draws match the
+// count rows'. CountTable keeps a bit row for every butterfly(10)
+// destination within MaxCountBytes (one-byte rows would take 110 MiB).
+func TestReachButterfly10(t *testing.T) {
 	g := mustTopo(t)(topo.Butterfly(10))
+	reach, err := NewReach(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reach.Unique() {
+		t.Fatal("butterfly(10) is not unique-path")
+	}
 	ct := NewCountTable(g)
-	reach := ct.CountAll()
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if len(g.Node(v).Down) > 0 && ct.rowOf(v).width != bitWidth {
+		if len(g.Node(v).Down) == 0 {
+			continue
+		}
+		ct.at(v, 0)
+		if ct.rowOf(v).width != bitWidth {
 			t.Fatalf("destination %d: row width %d, want a bit row", v, ct.rowOf(v).width)
 		}
 	}
@@ -201,11 +243,24 @@ func TestCountAllButterfly10(t *testing.T) {
 		t.Fatalf("rows take %d bytes, past the %d-byte budget", ct.used, MaxCountBytes)
 	}
 	rng := rand.New(rand.NewSource(10))
+	rm, rt := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 	for i := 0; i < 40; i++ {
 		s := graph.NodeID(rng.Intn(g.NumNodes()))
-		if got, want := reach.From(s), bfsReach(g, s); !slices.Equal(got, want) {
-			t.Fatalf("reach(%d) = %d destinations, BFS %d", s, len(got), len(want))
+		checkReach(t, g, reach, s)
+		if reach.Len(s) == 0 {
+			continue
 		}
+		d := reach.Nth(s, rng.Intn(reach.Len(s)))
+		got, err := reach.AppendPath(rm, s, d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := ct.AppendPath(rt, s, d, nil); !slices.Equal(got, want) {
+			t.Fatalf("%d→%d drew %v off the matrix, %v off the rows", s, d, got, want)
+		}
+	}
+	if a, b := rm.Int63(), rt.Int63(); a != b {
+		t.Fatalf("next rng draws %d off the matrix, %d off the rows", a, b)
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 )
 
 // FuzzCountTable checks every row of CountTables over random leveled
-// DAGs against graph.CountForwardPaths: one table filled by CountAll
-// with the full budget, and one filled lazily as rows are read, in a
-// shuffled destination order, under a budget taken from the input so
-// that some destinations are recounted on every read. Every row must hold the exact
-// saturated counts at every node, be kept at the narrowest width that
-// holds them (bit, 1, 2, 4 or 8 bytes), and draw the same paths with
-// the same final RNG state as refDraw.
+// DAGs against graph.CountForwardPaths: one table filled through at in
+// ascending destination order with the full budget, and one filled
+// lazily as rows are read, in a shuffled destination order, under a
+// budget taken from the input so that some destinations are recounted
+// on every read. Every row must hold the exact saturated counts at
+// every node, be kept at the narrowest width that holds them (bit, 1,
+// 2, 4 or 8 bytes), and draw the same paths with the same final RNG
+// state as refDraw.
 func FuzzCountTable(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(40), uint16(300))
 	f.Add(int64(2), uint8(70), uint8(12), uint16(50)) // multi-word bit rows
@@ -36,7 +37,9 @@ func FuzzCountTable(f *testing.F) {
 			return
 		}
 		full := NewCountTable(g)
-		full.CountAll()
+		for d := graph.NodeID(0); int(d) < nn; d++ {
+			full.at(d, 0)
+		}
 		lazy := newCountTable(g, int(budget))
 		dsts := rng.Perm(nn)
 		for _, d := range dsts {
@@ -51,12 +54,12 @@ func FuzzCountTable(f *testing.F) {
 				}
 				w := ct.rowOf(dst).width
 				if ct == full && w == 0 && len(g.Node(dst).Down) > 0 {
-					t.Fatalf("CountAll kept no row for %d", dst)
+					t.Fatalf("the full budget kept no row for %d", dst)
 				}
 				if w != 0 && w != narrowest(top) {
 					t.Fatalf("row %d (largest count %d) has width %d, want %d", dst, top, w, narrowest(top))
 				}
-				drawAll(t, ct, want, dst)
+				drawAll(t, g, ct, want, dst)
 			}
 		}
 	})
@@ -80,18 +83,22 @@ func narrowest(top int64) uint8 {
 	return 8
 }
 
+// drawer is a path source under test: a CountTable or a Reach.
+type drawer interface {
+	AppendPath(rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error)
+}
+
 // drawAll draws a path to dst from every node that reaches it through
-// ct and through refDraw from the same seed, and requires the same
+// d and through refDraw from the same seed, and requires the same
 // paths and the same RNG state afterwards.
-func drawAll(t *testing.T, ct *CountTable, want []int64, dst graph.NodeID) {
+func drawAll(t *testing.T, g *graph.Leveled, d drawer, want []int64, dst graph.NodeID) {
 	t.Helper()
-	g := ct.g
 	rt, rr := rand.New(rand.NewSource(int64(dst))), rand.New(rand.NewSource(int64(dst)))
 	for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
 		if s == dst || want[s] == 0 {
 			continue
 		}
-		got, err := ct.AppendPath(rt, s, dst, nil)
+		got, err := d.AppendPath(rt, s, dst, nil)
 		if err != nil {
 			t.Fatalf("%d→%d: %v", s, dst, err)
 		}
@@ -102,4 +109,51 @@ func drawAll(t *testing.T, ct *CountTable, want []int64, dst graph.NodeID) {
 	if a, b := rt.Int63(), rr.Int63(); a != b {
 		t.Fatalf("paths to %d: next rng draws %d, reference %d", dst, a, b)
 	}
+}
+
+// FuzzReach checks the reach matrix of random leveled DAGs: Contains,
+// Len and Nth against graph.ForwardReachableFrom at every source,
+// Unique against every graph.CountForwardPaths entry being at most 1,
+// and on unique-path DAGs that matrix draws to every destination from
+// every node that reaches it give refDraw's paths and final RNG state.
+// Sparse inputs give unique-path DAGs.
+func FuzzReach(f *testing.F) {
+	f.Add(int64(1), uint8(24), uint8(40)) // unique-path
+	f.Add(int64(2), uint8(95), uint8(16)) // unique-path, multi-word rows
+	f.Add(int64(5), uint8(80), uint8(16)) // unique-path, multi-word rows
+	f.Add(int64(1), uint8(95), uint8(40)) // multi-path, multi-word rows
+	f.Add(int64(4), uint8(5), uint8(255)) // multi-path
+	f.Fuzz(func(t *testing.T, seed int64, n, density uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		dagNodes := 2 + int(n)%96
+		g, _, err := topo.Levelize("fuzz", dagNodes, topo.RandomDAG(rng, dagNodes, float64(density)/1024))
+		if err != nil {
+			t.Fatalf("Levelize rejected a random DAG: %v", err)
+		}
+		nn := g.NumNodes()
+		if nn > maxFuzzNodes {
+			return
+		}
+		reach, err := NewReach(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([][]int64, nn)
+		unique := true
+		for d := range counts {
+			counts[d] = g.CountForwardPaths(graph.NodeID(d), satCap)
+			unique = unique && slices.Max(counts[d]) <= 1
+		}
+		if reach.Unique() != unique {
+			t.Fatalf("Unique() = %v, path counts say %v", reach.Unique(), unique)
+		}
+		for s := graph.NodeID(0); int(s) < nn; s++ {
+			checkReach(t, g, reach, s)
+		}
+		if unique {
+			for d := range counts {
+				drawAll(t, g, reach, counts[d], graph.NodeID(d))
+			}
+		}
+	})
 }

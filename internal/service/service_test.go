@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -306,6 +307,29 @@ func TestServiceConfigValidation(t *testing.T) {
 		if s, err := New(mk(), Options{}); err == nil {
 			s.Close()
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestServiceRefusesNetworkPastReachBudget: a topology whose engine
+// would need a reach matrix past paths.MaxReachBytes is a configuration
+// error naming the topology, the matrix size and the budget, not a
+// panic. The levelized dense 132-node random DAG has 234,665 nodes.
+func TestServiceRefusesNetworkPastReachBudget(t *testing.T) {
+	g, _, err := topo.Levelize("dense-dag", 132, topo.RandomDAG(rand.New(rand.NewSource(3)), 132, 200.0/255))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := manualCfg(t, "dense")
+	c.Network = g
+	s, err := New([]TopologyConfig{manualCfg(t, "bfly"), c}, Options{})
+	if err == nil {
+		s.Close()
+		t.Fatal("accepted")
+	}
+	for _, want := range []string{`topology "dense"`, "234665 nodes", "8606104210 bytes", "134217728-byte budget"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
 }
