@@ -31,7 +31,7 @@ func main() {
 		packets  = flag.Int("packets", 32, "packet count for hotspot/singlefile")
 		spots    = flag.Int("spots", 2, "destination count for hotspot")
 		density  = flag.Float64("density", 0.5, "source density for random workload")
-		algo     = flag.String("algo", "frame", "algorithm: frame|greedy-hp|greedy-ftg|rand-greedy-hp|sf-fifo|sf-randdelay|sf-farthest")
+		algo     = flag.String("algo", "frame", "algorithm: frame|greedy-hp|greedy-ftg|greedy-oldest|rand-greedy-hp|sf-fifo|sf-randdelay|sf-farthest")
 		seed     = flag.Int64("seed", 1, "random seed")
 		faultStr = flag.String("faults", "", "fault campaign spec, e.g. 'flap:period=50,down=5,rate=0.2+node:node=7,from=100,to=200' (see docs/FAULTS.md; SF baselines ignore it)")
 		check    = flag.Bool("check", false, "attach the invariant checker (frame only)")
@@ -41,15 +41,12 @@ func main() {
 		saveTo   = flag.String("save", "", "save the generated problem (network + paths) to this JSON file and continue")
 		loadFrom = flag.String("load", "", "load the problem from this JSON file instead of generating one")
 
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchSuite   = flag.String("bench", "", "run a benchmark suite (engine|parallel|dynamic|obs), write its BENCH json to -bench-out, fail if a gated row allocates, and exit")
-		benchOut     = flag.String("bench-out", "", "file the -bench document is written to")
-		benchScale   = flag.Int("bench-scale", 1, "benchmark scale: 1 = quick, 2 = full")
-		benchBase    = flag.String("bench-baseline", "", "fail on a >10% regression of any row's fastest ns/step against this committed BENCH json of the same suite and scale")
-		benchSpeedup = flag.Float64("bench-require-speedup", 0, "fail unless every workers=4 sweep row shows at least this speedup_vs_1 (0 = no gate)")
-		workers      = flag.Int("workers", 1, "parallel-step worker goroutines (1 = sequential; trace is identical either way)")
-		shards       = flag.Int("shards", 0, "parallel-step node shards (0 = workers x 8)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		benchSuite = flag.String("bench", "", "run a benchmark suite (engine|dynamic|obs), write its BENCH json to -bench-out, fail if a gated row allocates, and exit")
+		benchOut   = flag.String("bench-out", "", "file the -bench document is written to")
+		benchScale = flag.Int("bench-scale", 1, "benchmark scale: 1 = quick, 2 = full")
+		benchBase  = flag.String("bench-baseline", "", "fail on a >10% regression of any row's fastest ns/step against this committed BENCH json of the same suite and scale")
 
 		campaignOut       = flag.String("campaign", "", "run an experiment campaign, write its result document (CAMPAIGN json) to this file and exit (see docs/CAMPAIGNS.md)")
 		campaignGrid      = flag.String("campaign-grid", "smoke", "named campaign grid: smoke|full")
@@ -89,7 +86,7 @@ func main() {
 	}
 
 	if *benchSuite != "" {
-		runBench(*benchSuite, *benchOut, *benchScale, *benchBase, *benchSpeedup)
+		runBench(*benchSuite, *benchOut, *benchScale, *benchBase)
 		return
 	}
 	if *campaignOut != "" {
@@ -151,23 +148,22 @@ func main() {
 	}
 
 	ob := obsConfig{out: *obsOut, every: *obsEvery, eventsOut: *eventsOut, eventsCap: *eventsCap}
-	runOne(prob, *algo, *seed, *check, *profile, *workers, *shards, campaign, ob)
+	runOne(prob, *algo, *seed, *check, *profile, campaign, ob)
 	if *compare {
 		for _, k := range []string{"frame", "greedy-hp", "greedy-ftg", "greedy-oldest", "rand-greedy-hp", "sf-fifo", "sf-randdelay", "sf-farthest"} {
 			if k == *algo {
 				continue
 			}
-			runOne(prob, k, *seed, false, false, *workers, *shards, campaign, obsConfig{})
+			runOne(prob, k, *seed, false, false, campaign, obsConfig{})
 		}
 	}
 }
 
 // runBench records a benchmark suite, writes it to out, then applies
-// the gates: 0 allocs/step on gated rows, the regression gate against
-// baseline when given, and the workers=4 speedup gate when minSpeedup
-// is set. The document is written before gating so a failed run still
-// leaves its figures behind.
-func runBench(suite, out string, scale int, baseline string, minSpeedup float64) {
+// the gates: 0 allocs/step on gated rows and the regression gate
+// against baseline when given. The document is written before gating so
+// a failed run still leaves its figures behind.
+func runBench(suite, out string, scale int, baseline string) {
 	if out == "" {
 		fatal(fmt.Errorf("-bench needs -bench-out"))
 	}
@@ -178,19 +174,12 @@ func runBench(suite, out string, scale int, baseline string, minSpeedup float64)
 	if d.CPUModel != "" {
 		fmt.Printf(", cpu=%s", d.CPUModel)
 	}
-	if len(d.SkippedWorkers) > 0 {
-		fmt.Printf(", skipped workers %v", d.SkippedWorkers)
-	}
 	fmt.Println(")")
 	for _, r := range d.Rows {
 		if len(r.NsPerStep) == 0 {
 			continue
 		}
-		fmt.Printf("  %s: %.0f ns/step, %.4f allocs/step", r.Name, r.Best(), r.AllocsPerStep)
-		if s := r.Metrics["speedup_vs_1"]; s > 0 {
-			fmt.Printf(", %.2fx vs workers=1", s)
-		}
-		fmt.Println()
+		fmt.Printf("  %s: %.0f ns/step, %.4f allocs/step\n", r.Name, r.Best(), r.AllocsPerStep)
 	}
 	fatal(bench.CheckStrictAllocs(d))
 	if baseline != "" {
@@ -202,10 +191,6 @@ func runBench(suite, out string, scale int, baseline string, minSpeedup float64)
 		}
 		fatal(err)
 		fmt.Printf("benchmark regression gate passed vs %s\n", baseline)
-	}
-	if minSpeedup > 0 {
-		fatal(bench.CheckParallelSpeedup(d, 4, minSpeedup))
-		fmt.Printf("parallel speedup gate passed (>=%.2fx at workers=4)\n", minSpeedup)
 	}
 }
 
@@ -267,8 +252,8 @@ func (ob obsConfig) write(ts *hotpotato.TimeSeries, ring *hotpotato.Lifecycle) {
 	}
 }
 
-func runOne(prob *hotpotato.Problem, algo string, seed int64, check, profile bool, workers, shards int, campaign hotpotato.FaultCampaign, ob obsConfig) {
-	opts := hotpotato.Options{Seed: seed, Workers: workers, Shards: shards, Faults: campaign}
+func runOne(prob *hotpotato.Problem, algo string, seed int64, check, profile bool, campaign hotpotato.FaultCampaign, ob obsConfig) {
+	opts := hotpotato.Options{Seed: seed, Faults: campaign}
 	ts, ring := ob.attach(&opts)
 	defer ob.write(ts, ring)
 	if algo == "frame" {

@@ -12,8 +12,9 @@ import (
 // compact CLI specs with ParseFaults; see docs/FAULTS.md.
 type (
 	// FaultModel marks edges down per step. It must be a pure function
-	// of its arguments: the engines call it concurrently from shard
-	// workers and replay it for availability gauges.
+	// of its arguments, so that a run reproduces from its seed: the
+	// engines query it repeatedly per step and replay it for
+	// availability gauges.
 	FaultModel = sim.FaultModel
 	// FaultCampaign is a reusable, seedable outage scenario.
 	FaultCampaign = faults.Campaign

@@ -44,11 +44,6 @@ func (r *Greedy) Request(t int, p *sim.Packet) sim.Request {
 	return headRequest(p, 0)
 }
 
-// ConcurrentRequests implements sim.ConcurrentRouter: WantInject and
-// Request are pure functions of the packet and the immutable graph, so
-// the engine's sharded step may call them concurrently.
-func (*Greedy) ConcurrentRequests() bool { return true }
-
 // OnDeflect implements sim.Router.
 func (*Greedy) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
 
@@ -99,10 +94,6 @@ func (r *OldestFirst) Request(t int, p *sim.Packet) sim.Request {
 	return headRequest(p, int64(-p.InjectTime))
 }
 
-// ConcurrentRequests implements sim.ConcurrentRouter (pure Request, as
-// for Greedy).
-func (*OldestFirst) ConcurrentRequests() bool { return true }
-
 // OnDeflect implements sim.Router.
 func (*OldestFirst) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
 
@@ -142,10 +133,6 @@ func (*FarthestToGo) InjectStep(*sim.Packet) int { return 0 }
 func (r *FarthestToGo) Request(t int, p *sim.Packet) sim.Request {
 	return headRequest(p, int64(len(p.PathList)))
 }
-
-// ConcurrentRequests implements sim.ConcurrentRouter (pure Request, as
-// for Greedy).
-func (*FarthestToGo) ConcurrentRequests() bool { return true }
 
 // OnDeflect implements sim.Router.
 func (*FarthestToGo) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}

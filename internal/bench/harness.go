@@ -23,8 +23,7 @@ import (
 // Row is one measurement of a BENCH_*.json document.
 type Row struct {
 	// Name identifies the row across recordings; Compare keys on it.
-	// Workers-sweep rows end in "/workers=N", observability rows in
-	// "/<mode>".
+	// Observability rows end in "/<mode>".
 	Name string `json:"name"`
 	// NsPerStep holds one sample per rep: the rep's summed wall time
 	// over its summed steps. Compare gates the fastest sample, since
@@ -40,13 +39,13 @@ type Row struct {
 	// discarded.
 	AllocsPerStep float64 `json:"allocs_per_step"`
 	// Gated marks the rows CheckStrictAllocs holds to 0 allocs/step.
-	// Parallel rows, instrumented rows and the faulted service row are
-	// reported but not gated: scheduler activity, probe consumers and
-	// fault-model closures are outside the engines' allocation contract.
+	// Instrumented rows and the faulted service row are reported but
+	// not gated: probe consumers and fault-model closures are outside
+	// the engines' allocation contract.
 	Gated bool `json:"gated"`
 	// Metrics holds the row's shape and derived figures: nodes, edges,
-	// packets, workers, the ramp/steady split, speedup_vs_1,
-	// overhead_pct, peak in flight, ensemble throughput.
+	// packets, the ramp/steady split, overhead_pct, peak in flight,
+	// ensemble throughput.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -75,20 +74,14 @@ type Doc struct {
 	CPUModel string `json:"cpu_model,omitempty"`
 	Suite    string `json:"suite"`
 	Scale    int    `json:"scale"`
-	// SkippedWorkers lists sweep worker counts above GOMAXPROCS. Such
-	// rows could only show time-slicing, never speedup, so the document
-	// states the omission instead of recording them.
-	SkippedWorkers []int `json:"skipped_workers,omitempty"`
-	Rows           []Row `json:"rows"`
+	Rows     []Row  `json:"rows"`
 }
 
 // Run records one benchmark suite. Suites:
 //
 //   - engine: the batch engine on dense and sparse butterflies, the hard
-//     mesh and a random leveled network, the sparse butterfly swept over
-//     the worker counts GOMAXPROCS can schedule, and Monte-Carlo
-//     ensemble throughput with vs without engine reuse;
-//   - parallel: only the workers sweep, the multi-core CI fast path;
+//     mesh and a random leveled network, and Monte-Carlo ensemble
+//     throughput with vs without engine reuse;
 //   - dynamic: the open-system (service) engine replaying the
 //     batch/advance/drain script of scripts/service_smoke.sh;
 //   - obs: the observability layer's per-step overhead.
@@ -111,14 +104,14 @@ func Run(suite string, scale int) (*Doc, error) {
 	}
 	var err error
 	switch suite {
-	case "engine", "parallel":
-		err = runEngineSuite(d, suite == "parallel")
+	case "engine":
+		err = runEngineSuite(d)
 	case "dynamic":
 		err = runDynamicSuite(d)
 	case "obs":
 		err = runObsSuite(d)
 	default:
-		return nil, fmt.Errorf("bench: unknown suite %q (want engine|parallel|dynamic|obs)", suite)
+		return nil, fmt.Errorf("bench: unknown suite %q (want engine|dynamic|obs)", suite)
 	}
 	if err != nil {
 		return nil, err
@@ -166,10 +159,10 @@ type pass struct {
 }
 
 // measure is the one measure loop behind every stepped row: warm once,
-// so measured passes see no scratch growth, pool spin-up or first-touch
-// allocation; then take benchReps reps, each repeating the pass until it
-// reaches benchWindow steps. Only the passes' own clocks count, so
-// per-pass rewinds stay outside the timing. The metrics record the
+// so measured passes see no scratch growth or first-touch allocation;
+// then take benchReps reps, each repeating the pass until it reaches
+// benchWindow steps. Only the passes' own clocks count, so per-pass
+// rewinds stay outside the timing. The metrics record the
 // mean pass, and steady_ns_per_step the fastest rep's drain rate.
 func measure(name string, run func() (pass, error)) (Row, error) {
 	if _, err := run(); err != nil {
@@ -268,23 +261,12 @@ func (s *staggeredGreedy) WantInject(t int, p *sim.Packet) bool {
 // requires.
 func (s *staggeredGreedy) InjectStep(p *sim.Packet) int { return int(p.ID) / s.rate }
 
-// ConcurrentRequests certifies the wrapper like the wrapped Greedy:
-// the admission schedule is a pure function of (t, packet ID).
-func (s *staggeredGreedy) ConcurrentRequests() bool { return true }
-
 // engineCase is one batch-engine workload.
 type engineCase struct {
 	name  string
 	build func() (*workload.Problem, error)
 	route func() sim.Router
-	// sweep records the case at every worker count of engineWorkerCounts
-	// GOMAXPROCS can schedule, reusing the engine via Reset.
-	sweep bool
 }
-
-// engineWorkerCounts is the parallel-step sweep: sequential, then
-// 2/4/8 workers.
-var engineWorkerCounts = []int{1, 2, 4, 8}
 
 // engineCases returns the dense butterfly, the sparse (staggered)
 // butterfly, the hard mesh and a random leveled network at scale.
@@ -316,7 +298,6 @@ func engineCases(scale int) []engineCase {
 				return workload.FullThroughput(g, rngFor("bench-engine-sparse", sparseK))
 			},
 			route: func() sim.Router { return &staggeredGreedy{Greedy: baselines.NewGreedy(), rate: 16} },
-			sweep: true,
 		},
 		{
 			name:  fmt.Sprintf("mesh(%d)-hard", meshN),
@@ -337,20 +318,12 @@ func engineCases(scale int) []engineCase {
 	}
 }
 
-// runEngineSuite records the engine suite, or with parallelOnly just
-// the workers sweep.
-func runEngineSuite(d *Doc, parallelOnly bool) error {
+// runEngineSuite records the engine suite.
+func runEngineSuite(d *Doc) error {
 	for _, c := range engineCases(d.Scale) {
-		if parallelOnly && !c.sweep {
-			continue
-		}
 		if err := runEngineCase(d, c); err != nil {
 			return err
 		}
-	}
-	annotateParallelEfficiency(d)
-	if parallelOnly {
-		return nil
 	}
 	ens, err := measureEnsembleReuse(d.Scale)
 	if err != nil {
@@ -360,82 +333,25 @@ func runEngineSuite(d *Doc, parallelOnly bool) error {
 	return nil
 }
 
-// runEngineCase measures c on one engine and appends its rows to d.
-// Only sequential rows are gated.
+// runEngineCase measures c on one engine and appends its gated row to
+// d.
 func runEngineCase(d *Doc, c engineCase) error {
 	p, err := c.build()
 	if err != nil {
 		return fmt.Errorf("bench: %s: %w", c.name, err)
 	}
 	e := sim.NewEngine(p, c.route(), 1)
-	defer e.Close()
-	counts := []int{1}
-	if c.sweep {
-		counts = nil
-		for _, w := range engineWorkerCounts {
-			if w > d.GOMAXPROCS {
-				d.SkippedWorkers = append(d.SkippedWorkers, w)
-				continue
-			}
-			counts = append(counts, w)
-		}
+	row, err := measure(c.name, enginePass(e, nil))
+	if err != nil {
+		return err
 	}
-	for _, w := range counts {
-		name := c.name
-		if c.sweep {
-			name = fmt.Sprintf("%s/workers=%d", c.name, w)
-		}
-		if w > 1 {
-			e.SetParallelism(w, 0)
-		}
-		row, err := measure(name, enginePass(e, nil))
-		if err != nil {
-			return err
-		}
-		workers, shards := e.Parallelism()
-		row.Gated = workers == 1
-		row.Metrics["nodes"] = float64(p.G.NumNodes())
-		row.Metrics["edges"] = float64(p.G.NumEdges())
-		row.Metrics["packets"] = float64(p.N())
-		row.Metrics["workers"] = float64(workers)
-		row.Metrics["shards"] = float64(shards)
-		row.Metrics["max_in_flight"] = float64(e.M.MaxInFlight)
-		d.Rows = append(d.Rows, row)
-	}
+	row.Gated = true
+	row.Metrics["nodes"] = float64(p.G.NumNodes())
+	row.Metrics["edges"] = float64(p.G.NumEdges())
+	row.Metrics["packets"] = float64(p.N())
+	row.Metrics["max_in_flight"] = float64(e.M.MaxInFlight)
+	d.Rows = append(d.Rows, row)
 	return nil
-}
-
-// stepCost is the per-step figure speedups compare: the steady drain
-// rate when the pass has a drain, the fastest whole-pass rate otherwise.
-func stepCost(r Row) float64 {
-	if s := r.Metrics["steady_ns_per_step"]; s > 0 {
-		return s
-	}
-	return r.Best()
-}
-
-// annotateParallelEfficiency relates every workers>1 sweep row to the
-// workers=1 row of the same case: speedup_vs_1 = cost(1w) / cost(Nw)
-// and parallel_efficiency = speedup / workers.
-func annotateParallelEfficiency(d *Doc) {
-	seq := make(map[string]float64)
-	for _, r := range d.Rows {
-		if base, ok := strings.CutSuffix(r.Name, "/workers=1"); ok {
-			seq[base] = stepCost(r)
-		}
-	}
-	for i := range d.Rows {
-		r := &d.Rows[i]
-		base, _, ok := strings.Cut(r.Name, "/workers=")
-		workers := r.Metrics["workers"]
-		if !ok || workers <= 1 || seq[base] <= 0 {
-			continue
-		}
-		if cost := stepCost(*r); cost > 0 {
-			r.Metrics["speedup_vs_1"] = seq[base] / cost
-			r.Metrics["parallel_efficiency"] = seq[base] / cost / workers
-		}
-	}
 }
 
 // measureEnsembleReuse times the same Monte-Carlo ensemble twice: once
@@ -679,9 +595,7 @@ func CheckStrictAllocs(d *Doc) error {
 // fastest ns/step by more than tolerance (fractional; 0.10 = 10%). Rows
 // on one side only are ignored (names scale with the suite's scale).
 // Documents of a different suite or scale compare nothing, with a
-// warning. Parallel rows compare only when both documents ran under the
-// same GOMAXPROCS — otherwise the wall-clock difference is the machine,
-// not the code — and are skipped with a warning when they did not.
+// warning.
 func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
 	if baseline.Suite != current.Suite || baseline.Scale != current.Scale {
 		return []string{fmt.Sprintf("baseline %s scale %d != current %s scale %d; nothing compared",
@@ -691,50 +605,16 @@ func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
 	for _, r := range baseline.Rows {
 		base[r.Name] = r
 	}
-	var warnings []string
 	for _, r := range current.Rows {
 		b, ok := base[r.Name]
 		old, cur := b.Best(), r.Best()
 		if !ok || old <= 0 || cur <= 0 {
 			continue
 		}
-		if r.Metrics["workers"] > 1 && baseline.GOMAXPROCS != current.GOMAXPROCS {
-			warnings = append(warnings, fmt.Sprintf("row %s: baseline gomaxprocs=%d vs current %d; parallel wall-clock not comparable, skipped",
-				r.Name, baseline.GOMAXPROCS, current.GOMAXPROCS))
-			continue
-		}
 		if cur > old*(1+tolerance) {
-			return warnings, fmt.Errorf("bench: regression on %s: %.2f ns/step vs baseline %.2f (+%.1f%%, tolerance %.0f%%)",
+			return nil, fmt.Errorf("bench: regression on %s: %.2f ns/step vs baseline %.2f (+%.1f%%, tolerance %.0f%%)",
 				r.Name, cur, old, 100*(cur/old-1), 100*tolerance)
 		}
 	}
-	return warnings, nil
-}
-
-// CheckParallelSpeedup is the multi-core gate: every row recorded at
-// the given worker count must reach minSpeedup over its workers=1 row.
-// It errors when no such row was recorded (e.g. the host could not
-// schedule that many workers), so a misconfigured runner cannot pass.
-func CheckParallelSpeedup(d *Doc, workers int, minSpeedup float64) error {
-	found := false
-	suffix := fmt.Sprintf("/workers=%d", workers)
-	for _, r := range d.Rows {
-		if !strings.HasSuffix(r.Name, suffix) {
-			continue
-		}
-		found = true
-		speedup := r.Metrics["speedup_vs_1"]
-		if speedup <= 0 {
-			return fmt.Errorf("bench: row %s has no speedup_vs_1 (missing workers=1 counterpart?)", r.Name)
-		}
-		if speedup < minSpeedup {
-			return fmt.Errorf("bench: %s reached only %.2fx vs workers=1 (efficiency %.2f); gate requires ≥%.2fx",
-				r.Name, speedup, r.Metrics["parallel_efficiency"], minSpeedup)
-		}
-	}
-	if !found {
-		return fmt.Errorf("bench: no workers=%d row recorded (gomaxprocs=%d, skipped_workers=%v); cannot certify parallel speedup",
-			workers, d.GOMAXPROCS, d.SkippedWorkers)
-	}
-	return nil
+	return nil, nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -51,23 +50,11 @@ func TestEngineBenchQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRows(t, d)
-	// Four topology rows (the sparse one at workers=1), the sparse
-	// butterfly at every workers>1 count GOMAXPROCS can schedule, and
-	// the ensemble row; counts it cannot schedule are listed in
-	// SkippedWorkers instead of recorded.
-	wantPar := 0
-	for _, w := range []int{2, 4, 8} {
-		if w <= d.GOMAXPROCS {
-			wantPar++
-		}
+	// Four gated topology rows and the ensemble row.
+	if len(d.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(d.Rows))
 	}
-	if len(d.Rows) != 5+wantPar {
-		t.Fatalf("rows = %d, want %d", len(d.Rows), 5+wantPar)
-	}
-	if got := len(d.SkippedWorkers); got != 3-wantPar {
-		t.Errorf("skipped_workers = %v, want %d entries", d.SkippedWorkers, 3-wantPar)
-	}
-	gated, par := 0, 0
+	gated := 0
 	for _, r := range d.Rows {
 		if strings.HasSuffix(r.Name, "/ensemble") {
 			if r.Metrics["reuse_speedup"] <= 0 || r.Metrics["fresh_trials_per_sec"] <= 0 || r.Metrics["reused_trials_per_sec"] <= 0 {
@@ -79,26 +66,15 @@ func TestEngineBenchQuick(t *testing.T) {
 		if m["max_in_flight"] <= 0 || m["max_in_flight"] > m["packets"] {
 			t.Errorf("%s: max in flight %g outside (0, %g]", r.Name, m["max_in_flight"], m["packets"])
 		}
-		if r.Gated != (m["workers"] == 1) {
-			t.Errorf("%s: gated %v at workers=%g", r.Name, r.Gated, m["workers"])
-		}
-		if m["workers"] > 1 {
-			par++
-			if m["speedup_vs_1"] <= 0 || m["parallel_efficiency"] <= 0 {
-				t.Errorf("%s: missing speedup annotation: %v", r.Name, m)
-			}
-		} else {
+		if r.Gated {
 			gated++
-			if _, ok := m["speedup_vs_1"]; ok {
-				t.Errorf("%s: workers=1 row carries a speedup: %v", r.Name, m)
-			}
 		}
 	}
-	if gated != 4 || par != wantPar {
-		t.Errorf("row split %d sequential / %d parallel, want 4/%d", gated, par, wantPar)
+	if gated != 4 {
+		t.Errorf("%d gated rows, want 4", gated)
 	}
 	// The zero-alloc claim: a warmed, Reset-rewound engine must not
-	// allocate on the sequential stepping path.
+	// allocate on the stepping path.
 	if err := CheckStrictAllocs(d); err != nil {
 		t.Error(err)
 	}
@@ -148,16 +124,11 @@ func TestWriteEngineBenchRoundTrips(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine benchmark is slow; skipped under -short")
 	}
-	// The parallel suite records the sparse butterfly sweep only: no
-	// dense, mesh, random or ensemble rows. TestEngineBenchQuick already
-	// measures the workers>1 rows; GOMAXPROCS=1 keeps this run to one.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	d, err := Run("parallel", 1)
+	// The dynamic suite at scale 1 is the quickest recorded document:
+	// one row.
+	d, err := Run("dynamic", 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(d.Rows) != 1 || d.Rows[0].Name != "butterfly(10)-sparse/workers=1" || !reflect.DeepEqual(d.SkippedWorkers, []int{2, 4, 8}) {
-		t.Errorf("parallel suite at GOMAXPROCS=1 recorded %+v", d)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
 	if err := Write(path, d); err != nil {
@@ -175,31 +146,25 @@ func TestWriteEngineBenchRoundTrips(t *testing.T) {
 // suiteDocs returns one baseline document per suite, each holding a
 // row that suite records.
 func suiteDocs() []*Doc {
-	row := func(name string, ns float64, workers int) Row {
-		return Row{Name: name, NsPerStep: []float64{ns * 1.3, ns, ns * 1.1}, Metrics: map[string]float64{"workers": float64(workers)}}
+	row := func(name string, ns float64) Row {
+		return Row{Name: name, NsPerStep: []float64{ns * 1.3, ns, ns * 1.1}}
 	}
 	return []*Doc{
-		{Suite: "engine", Scale: 2, GOMAXPROCS: 4, Rows: []Row{
-			row("butterfly(8)-dense", 1000, 1),
-			row("butterfly(12)-sparse/workers=4", 500, 4),
+		{Suite: "engine", Scale: 2, Rows: []Row{
+			row("butterfly(8)-dense", 1000),
+			row("butterfly(12)-sparse", 500),
 			{Name: "mesh(8)-hard/ensemble", Metrics: map[string]float64{"workers": 4}},
 		}},
-		{Suite: "parallel", Scale: 2, GOMAXPROCS: 4, Rows: []Row{row("butterfly(12)-sparse/workers=4", 500, 4)}},
-		{Suite: "dynamic", Scale: 2, GOMAXPROCS: 4, Rows: []Row{row("butterfly(5)-service", 1500, 0)}},
-		{Suite: "obs", Scale: 2, GOMAXPROCS: 4, Rows: []Row{row("butterfly(8)-dense/probe", 2000, 1)}},
+		{Suite: "dynamic", Scale: 2, Rows: []Row{row("butterfly(5)-service", 1500)}},
+		{Suite: "obs", Scale: 2, Rows: []Row{row("butterfly(8)-dense/probe", 2000)}},
 	}
 }
 
-// scaled copies d with every sample of a sequential row multiplied by
-// seq and of a parallel (workers>1) row by par.
-func scaled(d *Doc, seq, par float64) *Doc {
+// scaled copies d with every sample multiplied by f.
+func scaled(d *Doc, f float64) *Doc {
 	c := *d
 	c.Rows = nil
 	for _, r := range d.Rows {
-		f := seq
-		if r.Metrics["workers"] > 1 {
-			f = par
-		}
 		r.NsPerStep = append([]float64(nil), r.NsPerStep...)
 		for i := range r.NsPerStep {
 			r.NsPerStep[i] *= f
@@ -212,26 +177,15 @@ func scaled(d *Doc, seq, par float64) *Doc {
 func TestCompare(t *testing.T) {
 	for _, base := range suiteDocs() {
 		t.Run(base.Suite, func(t *testing.T) {
-			seq, par := 0, 0
-			for _, r := range base.Rows {
-				if len(r.NsPerStep) == 0 {
-					continue
-				}
-				if r.Metrics["workers"] > 1 {
-					par++
-				} else {
-					seq++
-				}
-			}
-			if w, err := Compare(base, scaled(base, 1.08, 1.08), 0.10); err != nil || len(w) != 0 {
+			if w, err := Compare(base, scaled(base, 1.08), 0.10); err != nil || len(w) != 0 {
 				t.Errorf("8%% slower tripped the gate: %v (warnings %v)", err, w)
 			}
-			if _, err := Compare(base, scaled(base, 1.2, 1.2), 0.10); err == nil {
+			if _, err := Compare(base, scaled(base, 1.2), 0.10); err == nil {
 				t.Error("20% regression did not trip the 10% gate")
 			}
 			// Only the fastest rep counts: a slow outlier rep is not a
 			// regression.
-			cur := scaled(base, 1, 1)
+			cur := scaled(base, 1)
 			for i := range cur.Rows {
 				if len(cur.Rows[i].NsPerStep) > 0 {
 					cur.Rows[i].NsPerStep[0] *= 3
@@ -244,77 +198,17 @@ func TestCompare(t *testing.T) {
 			}
 			// Different scales measure different networks: nothing is
 			// compared, with one warning.
-			cur = scaled(base, 2, 2)
+			cur = scaled(base, 2)
 			cur.Scale = 1
 			if w, err := Compare(base, cur, 0.10); err != nil || len(w) != 1 {
 				t.Errorf("cross-scale comparison: err %v, warnings %v; want none and one", err, w)
-			}
-			// Parallel rows gate under the same GOMAXPROCS...
-			if _, err := Compare(base, scaled(base, 1, 2), 0.10); (err != nil) != (par > 0) {
-				t.Errorf("parallel regression with %d parallel rows: %v", par, err)
-			}
-			// ...and are skipped, one warning each, under another;
-			// sequential rows still gate.
-			cur = scaled(base, 1, 2)
-			cur.GOMAXPROCS = 8
-			if w, err := Compare(base, cur, 0.10); err != nil || len(w) != par {
-				t.Errorf("gomaxprocs mismatch: err %v, warnings %v; want none and %d", err, w, par)
-			}
-			cur = scaled(base, 1.2, 1)
-			cur.GOMAXPROCS = 8
-			if _, err := Compare(base, cur, 0.10); (err != nil) != (seq > 0) {
-				t.Errorf("sequential regression under a gomaxprocs mismatch with %d sequential rows: %v", seq, err)
 			}
 		})
 	}
 	// Documents of different suites compare nothing, with one warning.
 	docs := suiteDocs()
-	if w, err := Compare(docs[0], scaled(docs[1], 2, 2), 0.10); err != nil || len(w) != 1 {
+	if w, err := Compare(docs[0], scaled(docs[1], 2), 0.10); err != nil || len(w) != 1 {
 		t.Errorf("cross-suite comparison: err %v, warnings %v; want none and one", err, w)
-	}
-}
-
-func TestAnnotateParallelEfficiency(t *testing.T) {
-	d := &Doc{Rows: []Row{
-		{Name: "a/workers=1", NsPerStep: []float64{1200}, Metrics: map[string]float64{"workers": 1, "steady_ns_per_step": 1000}},
-		{Name: "a/workers=4", NsPerStep: []float64{700}, Metrics: map[string]float64{"workers": 4, "steady_ns_per_step": 500}},
-		{Name: "b/workers=1", NsPerStep: []float64{900}, Metrics: map[string]float64{"workers": 1}},
-		{Name: "b/workers=2", NsPerStep: []float64{600}, Metrics: map[string]float64{"workers": 2}},
-		{Name: "lonely/workers=2", NsPerStep: []float64{100}, Metrics: map[string]float64{"workers": 2}},
-	}}
-	annotateParallelEfficiency(d)
-	if got := d.Rows[1].Metrics["speedup_vs_1"]; got != 2.0 {
-		t.Errorf("speedup_vs_1 = %g, want 2.0 (steady 1000 vs 500)", got)
-	}
-	if got := d.Rows[1].Metrics["parallel_efficiency"]; got != 0.5 {
-		t.Errorf("parallel_efficiency = %g, want 0.5", got)
-	}
-	if got := d.Rows[3].Metrics["speedup_vs_1"]; got != 1.5 {
-		t.Errorf("speedup_vs_1 = %g, want 1.5 (whole-pass 900 vs 600 without a drain)", got)
-	}
-	if _, ok := d.Rows[4].Metrics["speedup_vs_1"]; ok {
-		t.Errorf("row without a workers=1 counterpart annotated: %+v", d.Rows[4])
-	}
-}
-
-func TestCheckParallelSpeedup(t *testing.T) {
-	d := &Doc{GOMAXPROCS: 4, Rows: []Row{
-		{Name: "a/workers=1", Metrics: map[string]float64{"workers": 1}},
-		{Name: "a/workers=4", Metrics: map[string]float64{"workers": 4, "speedup_vs_1": 2.0, "parallel_efficiency": 0.5}},
-		{Name: "mesh(8)-hard/ensemble", Metrics: map[string]float64{"workers": 2}},
-	}}
-	if err := CheckParallelSpeedup(d, 4, 1.5); err != nil {
-		t.Errorf("2.0x speedup failed the 1.5x gate: %v", err)
-	}
-	if err := CheckParallelSpeedup(d, 4, 2.5); err == nil {
-		t.Error("2.0x speedup passed the 2.5x gate")
-	}
-	if err := CheckParallelSpeedup(d, 2, 1.5); err == nil {
-		t.Error("gate passed with no workers=2 sweep row recorded")
-	}
-	delete(d.Rows[1].Metrics, "speedup_vs_1")
-	if err := CheckParallelSpeedup(d, 4, 1.5); err == nil {
-		t.Error("gate passed on a row without speedup_vs_1")
 	}
 }
 
@@ -333,7 +227,7 @@ func (a allocatingGreedy) EndStep(t int, e *sim.Engine) {
 func TestCheckStrictAllocs(t *testing.T) {
 	d := &Doc{Rows: []Row{
 		{Name: "a", Gated: true},
-		{Name: "b/workers=4", AllocsPerStep: 0.25},
+		{Name: "b/probe", AllocsPerStep: 0.25},
 	}}
 	if err := CheckStrictAllocs(d); err != nil {
 		t.Errorf("ungated allocs tripped the gate: %v", err)
@@ -360,7 +254,7 @@ func TestCheckStrictAllocs(t *testing.T) {
 		{func() sim.Router { return baselines.NewGreedy() }, false},
 		{func() sim.Router { return allocatingGreedy{baselines.NewGreedy()} }, true},
 	} {
-		d := &Doc{GOMAXPROCS: 1}
+		d := &Doc{}
 		if err := runEngineCase(d, engineCase{name: "butterfly(6)-dense", build: dense, route: c.route}); err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 func BenchmarkFrameRunnerHotSpot(b *testing.B) {
 	p := corpus(b)[0]
 	r := NewRunner(p, DefaultPractical(p.C, p.L(), p.N()), 1, 0)
-	defer r.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	steps := 0
@@ -38,7 +37,6 @@ func BenchmarkFrameRunnerHotSpot(b *testing.B) {
 func TestRunnerAllocsPerRun(t *testing.T) {
 	p := corpus(t)[0]
 	r := NewRunner(p, DefaultPractical(p.C, p.L(), p.N()), 1, 0)
-	defer r.Close()
 	seed := int64(0)
 	allocs := testing.AllocsPerRun(5, func() {
 		seed++

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"hotpotato/internal/obs"
 	"hotpotato/internal/sim"
-	"hotpotato/internal/topo"
 	"hotpotato/internal/workload"
 )
 
@@ -21,62 +18,6 @@ func TestExcitedPriorityMatchesEngine(t *testing.T) {
 	}
 	if prioWait >= sim.ExcitedPriority || prioNormal >= sim.ExcitedPriority {
 		t.Fatalf("non-excited priorities (%d, %d) reach the excitation threshold %d", prioWait, prioNormal, sim.ExcitedPriority)
-	}
-}
-
-// TestObsParallelDeterminism is the observability acceptance
-// criterion: with a collector, time series and lifecycle ring
-// attached, workers=1 and workers=N runs of the frame router emit
-// byte-identical per-step, per-round and per-phase series and the
-// identical event stream.
-func TestObsParallelDeterminism(t *testing.T) {
-	g, err := topo.Butterfly(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := workload.Random(g, rand.New(rand.NewSource(13)), 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := ParamsPractical(p.C, p.L(), p.N(),
-		PracticalConfig{SetCongestion: 4, FrameSlack: 3, RoundFactor: 3})
-
-	capture := func(workers, shards int) ([]byte, []byte) {
-		ts := &obs.TimeSeries{}
-		ring := obs.NewLifecycle(1 << 16)
-		res := Run(p, params, RunOptions{
-			Seed: 11, Workers: workers, Shards: shards,
-			Probes: []obs.Probe{ts}, Events: ring,
-		})
-		if !res.Done {
-			t.Fatalf("workers=%d: run did not complete", workers)
-		}
-		if ring.Dropped() != 0 {
-			t.Fatalf("workers=%d: ring dropped %d events; grow the test ring", workers, ring.Dropped())
-		}
-		var series bytes.Buffer
-		if err := ts.WriteJSON(&series); err != nil {
-			t.Fatal(err)
-		}
-		var events bytes.Buffer
-		if err := ring.WriteCSV(&events); err != nil {
-			t.Fatal(err)
-		}
-		if len(ts.Phases) == 0 || ring.Len() == 0 {
-			t.Fatalf("workers=%d: empty series (phases=%d events=%d); the scenario is vacuous", workers, len(ts.Phases), ring.Len())
-		}
-		return series.Bytes(), events.Bytes()
-	}
-
-	wantSeries, wantEvents := capture(1, 0)
-	for _, cfg := range [][2]int{{2, 0}, {4, 0}, {4, 5}} {
-		gotSeries, gotEvents := capture(cfg[0], cfg[1])
-		if !bytes.Equal(gotSeries, wantSeries) {
-			t.Errorf("workers=%d shards=%d: time series differs from sequential", cfg[0], cfg[1])
-		}
-		if !bytes.Equal(gotEvents, wantEvents) {
-			t.Errorf("workers=%d shards=%d: event stream differs from sequential", cfg[0], cfg[1])
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"hotpotato/internal/graph"
 	"hotpotato/internal/sim"
@@ -92,8 +91,7 @@ type Frame struct {
 
 	// clk is the schedule position of the step about to execute, so the
 	// per-packet callbacks read phase and round instead of dividing.
-	// Init sets it for step 0 and EndStep(t) for step t+1, both
-	// sequential points; it is read-only while requests run. A step the
+	// Init sets it for step 0 and EndStep(t) for step t+1. A step the
 	// engine reached without an EndStep — the first after Run
 	// fast-forwards an idle stretch — misses it and falls back to
 	// division (see at).
@@ -101,9 +99,9 @@ type Frame struct {
 
 	// coinSeed keys the per-(step, packet) excitation coin (see
 	// sim.CoinFloat): counter-based rather than drawn from the shared
-	// sequential rng, so Request is order-independent and the router
-	// can certify sim.ConcurrentRouter. Derived from the run seed at
-	// Init.
+	// sequential rng, so a packet's coin does not depend on the order
+	// in which the engine asks for requests. Derived from the run seed
+	// at Init.
 	coinSeed uint64
 
 	// assign, when non-nil, is the caller-supplied frontier-set
@@ -117,21 +115,12 @@ type Frame struct {
 	waitEdge []graph.EdgeID
 
 	// evExcited/evRestore stage this step's excite/restore events per
-	// packet. Request may run concurrently on shard workers but is
-	// called exactly once per packet per step, so per-packet staging is
-	// race-free; the staged events are flushed in deterministic order
-	// at the sequential callbacks (OnDeflect, OnAbsorb, EndStep).
-	// evRestore holds a sim.Restore* reason, -1 when none staged.
+	// packet, set in Request and flushed at the packet's outcome
+	// callback (OnDeflect, OnAbsorb, or EndStep in active-list order),
+	// which fixes where they fall in the event stream. evRestore holds
+	// a sim.Restore* reason, -1 when none staged.
 	evExcited []bool
 	evRestore []int32
-
-	// Stats cells bumped inside Request, which may run concurrently on
-	// shard workers; flushed into S at EndStep. All other callbacks run
-	// sequentially and update S directly.
-	pendExcitations  atomic.Int64
-	pendWaitEntries  atomic.Int64
-	pendExcitedWins  atomic.Int64
-	pendLateInjected atomic.Int64
 }
 
 // frameCoinSalt separates the excitation-coin stream from engine
@@ -208,10 +197,6 @@ func (r *Frame) Init(e *sim.Engine) {
 	r.coinSeed = sim.StreamSeed(e.Seed(), frameCoinSalt)
 	r.S = Stats{}
 	r.clk = r.sched.clockAt(0)
-	r.pendExcitations.Store(0)
-	r.pendWaitEntries.Store(0)
-	r.pendExcitedWins.Store(0)
-	r.pendLateInjected.Store(0)
 	r.Events = nil
 	n := len(e.Packets)
 	if len(r.set) != n {
@@ -239,20 +224,6 @@ func (r *Frame) Init(e *sim.Engine) {
 		r.evRestore[i] = -1
 	}
 }
-
-// ConcurrentRequests implements sim.ConcurrentRouter: WantInject reads
-// only schedule/graph state that is immutable while requests run (the
-// step clock is written only at Init and EndStep), and Request draws
-// its excitation coin from a counter-based stream keyed by (step,
-// packet) rather than a shared sequential generator, touches per-packet
-// state only, and bumps shared counters through atomics. Its behavior is therefore
-// independent of call order and safe under the engine's sharded step.
-// Neither reads engine occupancy (At/InFlight/Active) — required since
-// the barrier-fused step clears a shard's occupancy while other shards'
-// requests may still be running; the router's occupancy-shaped reads
-// (StateCounts, progress accounting) all live in EndStep, which the
-// engine guarantees is sequential.
-func (r *Frame) ConcurrentRequests() bool { return true }
 
 // WantInject implements sim.Router: a packet wants in from the start of
 // the phase in which its source sits at inner-level M-1 of its frame
@@ -329,7 +300,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 	if p.InjectTime == t {
 		want := r.sched.InjectionPhase(int(r.set[id]), r.g.LevelOf(p.Src))
 		if t > r.sched.PhaseStart(want) {
-			r.pendLateInjected.Add(1)
+			r.S.LatePhaseInjections++
 		}
 	}
 	if r.st[id] == stateWait {
@@ -345,7 +316,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 	// analysis requires, but no draw depends on any other packet's.
 	if r.st[id] == stateNormal && sim.CoinFloat(r.coinSeed, t, id) < r.P.Q {
 		r.st[id] = stateExcited
-		r.pendExcitations.Add(1)
+		r.S.Excitations++
 		if r.Events != nil {
 			r.evExcited[id] = true
 		}
@@ -355,7 +326,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 	// the last traversed link.
 	if tgt := r.target(c, p); !r.DisableWait && p.Cur == tgt && p.ArrivalEdge != graph.NoEdge {
 		if r.st[id] == stateExcited {
-			r.pendExcitedWins.Add(1)
+			r.S.ExcitedSuccesses++
 			if r.Events != nil {
 				r.evRestore[id] = sim.RestoreTarget
 			}
@@ -363,7 +334,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 		r.st[id] = stateWait
 		r.waitNode[id] = p.Cur
 		r.waitEdge[id] = p.ArrivalEdge
-		r.pendWaitEntries.Add(1)
+		r.S.WaitEntries++
 		e := p.ArrivalEdge
 		return sim.Request{Edge: e, Dir: r.g.DirectionFrom(e, p.Cur), Priority: prioWait}
 	}
@@ -425,20 +396,17 @@ func (r *Frame) OnAbsorb(t int, p *sim.Packet) {
 // EndStep implements sim.Router: at the end of each round excited
 // packets become normal; at the end of each phase wait packets become
 // normal (Section 3). On a step with no active and no pending packet it
-// is a no-op, as sim.InjectionPlanner requires: the Request-side
-// counters were flushed by the previous EndStep (Request runs only for
-// active packets), and every other effect ranges over the empty active
-// list.
+// is a no-op, as sim.InjectionPlanner requires: every effect but the
+// clock ranges over the empty active list, and the clock is re-derived
+// on a mismatch (see at).
 func (r *Frame) EndStep(t int, e *sim.Engine) {
-	r.flushPending()
 	c := r.at(t)
 	roundEnd, phaseEnd := c.roundEnd(r.sched), c.phaseEnd(r.sched)
 	r.clk = r.sched.next(c)
 	if r.Events != nil {
 		// Flush surviving packets' staged events (deflected and
 		// absorbed packets flushed theirs at OnDeflect/OnAbsorb) in
-		// active-list order, which is maintained sequentially and thus
-		// identical for every worker count.
+		// active-list order.
 		for _, i := range e.Active() {
 			r.flushEvents(t, i)
 		}
@@ -473,29 +441,6 @@ func (r *Frame) EndStep(t int, e *sim.Engine) {
 				r.st[i] = stateNormal
 			}
 		}
-	}
-}
-
-// flushPending folds the atomically-bumped Request-side counters into
-// S. Called at the top of EndStep, i.e. once per step, sequentially:
-// no Request runs then, so a load, and a store only when a cell is
-// nonzero, replace four locked swaps on every step.
-func (r *Frame) flushPending() {
-	if v := r.pendExcitations.Load(); v != 0 {
-		r.pendExcitations.Store(0)
-		r.S.Excitations += int(v)
-	}
-	if v := r.pendWaitEntries.Load(); v != 0 {
-		r.pendWaitEntries.Store(0)
-		r.S.WaitEntries += int(v)
-	}
-	if v := r.pendExcitedWins.Load(); v != 0 {
-		r.pendExcitedWins.Store(0)
-		r.S.ExcitedSuccesses += int(v)
-	}
-	if v := r.pendLateInjected.Load(); v != 0 {
-		r.pendLateInjected.Store(0)
-		r.S.LatePhaseInjections += int(v)
 	}
 }
 

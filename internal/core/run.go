@@ -85,9 +85,8 @@ type RunOptions struct {
 	Observer sim.Observer
 	// Probes, if non-empty, are attached through an obs.Collector
 	// keyed to the router's schedule: each receives the annotated
-	// per-step/per-round/per-phase series, byte-identical for every
-	// Workers/Shards setting, with the trailing partial round and
-	// phase flushed after the run.
+	// per-step/per-round/per-phase series, with the trailing partial
+	// round and phase flushed after the run.
 	Probes []obs.Probe
 	// Events, if non-nil, receives packet lifecycle events from both
 	// the engine (inject/deflect/stall/absorb) and the frame router
@@ -96,11 +95,6 @@ type RunOptions struct {
 	// Profile records per-phase injection/absorption/wait counts into
 	// Result.Phases.
 	Profile bool
-	// Workers/Shards configure the engine's sharded parallel step path
-	// (sim.Engine.SetParallelism). Workers <= 1 keeps the sequential
-	// path; results are byte-identical either way.
-	Workers int
-	Shards  int
 	// Faults, if non-nil, is installed as the engine's fault model for
 	// this run (sim.Engine.Faults): a pure function of (edge, step)
 	// marking edges down. Per-run — a Runner reused across seeds gets
@@ -110,8 +104,7 @@ type RunOptions struct {
 
 // Runner executes frame runs on one problem, reusing the engine and
 // router across seeds through sim.Engine.Reset: the flat occupancy
-// backing, path arena, slot scratch, worker pool and the router's
-// per-packet arrays all survive from run to run, so per-trial cost in
+// backing, path arena, slot scratch and the router's per-packet arrays all survive from run to run, so per-trial cost in
 // an ensemble is the routing itself rather than setup. Not safe for
 // concurrent use; Monte-Carlo callers keep one Runner per worker.
 type Runner struct {
@@ -125,25 +118,22 @@ type Runner struct {
 	waits, transits []float64
 }
 
-// NewRunner builds a reusable runner. workers/shards configure the
-// engine's parallel step path as in RunOptions (<= 1 disables it).
-func NewRunner(p *workload.Problem, params Params, workers, shards int) *Runner {
+// NewRunner builds a reusable runner. The trailing pair of ints, once
+// the parallel step's workers and shards, is ignored; the signature
+// stays for existing callers.
+func NewRunner(p *workload.Problem, params Params, _, _ int) *Runner {
 	router := NewFrame(params)
 	eng := sim.NewEngine(p, router, 0)
-	if workers > 1 {
-		eng.SetParallelism(workers, shards)
-	}
 	return &Runner{p: p, params: params, router: router, eng: eng,
 		waits: make([]float64, 0, p.N()), transits: make([]float64, 0, p.N())}
 }
 
-// Close releases the engine's worker pool (no-op when sequential). The
-// runner must not be used afterwards.
-func (r *Runner) Close() { r.eng.Close() }
+// Close is a no-op: a Runner holds no goroutines or other resources
+// beyond memory. It stays for existing callers.
+func (r *Runner) Close() {}
 
 // Run executes one seeded run, rewinding the reused engine first. The
-// per-run RunOptions fields (Seed, MaxSteps, Check, Observer, Profile)
-// apply; Workers/Shards are fixed at construction and ignored here.
+// RunOptions apply per run.
 func (r *Runner) Run(opt RunOptions) *Result {
 	r.eng.Reset(opt.Seed)
 	return r.finish(opt)
@@ -152,8 +142,7 @@ func (r *Runner) Run(opt RunOptions) *Result {
 // Run executes the frame algorithm on the problem and returns the
 // result.
 func Run(p *workload.Problem, params Params, opt RunOptions) *Result {
-	r := NewRunner(p, params, opt.Workers, opt.Shards)
-	defer r.Close()
+	r := NewRunner(p, params, 1, 0)
 	r.eng.Reset(opt.Seed)
 	return r.finish(opt)
 }

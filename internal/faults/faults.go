@@ -7,11 +7,11 @@
 //
 // Every model produced here honors the engine's fault contract
 // (internal/sim/faults.go): it is a pure function of (edge, step),
-// safe to call concurrently from shard workers, with no mutable state.
-// All randomness is counter-based (the SplitMix64 finalizer over
-// (seed, edge, window) tuples), so the same campaign + seed + network
-// reproduce the same outage trace on every run, for every worker and
-// shard count — chaos experiments stay replayable.
+// with no mutable state. All randomness is counter-based (the
+// SplitMix64 finalizer over (seed, edge, window) tuples), so the same
+// campaign + seed + network reproduce the same outage trace on every
+// run, however often and in whatever order the engine asks — chaos
+// experiments stay replayable.
 //
 // Campaigns overlay with Overlay (an edge is down when any member says
 // so), and parse from compact CLI specs with Parse (see spec.go and

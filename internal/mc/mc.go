@@ -147,7 +147,6 @@ func Run(p *workload.Problem, params core.Params, opt Options) (*Ensemble, error
 			defer wg.Done()
 			if opt.Router != nil {
 				eng := sim.NewEngine(p, opt.Router(), 1)
-				defer eng.Close()
 				for i := range jobs {
 					trials[i] = runRouterTrial(p, eng, opt, opt.BaseSeed+int64(i))
 				}
@@ -156,7 +155,6 @@ func Run(p *workload.Problem, params core.Params, opt Options) (*Ensemble, error
 			var runner *core.Runner
 			if !opt.FreshEngines {
 				runner = core.NewRunner(p, params, 1, 0)
-				defer runner.Close()
 			}
 			for i := range jobs {
 				seed := opt.BaseSeed + int64(i)

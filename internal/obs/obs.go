@@ -8,11 +8,11 @@
 // steady state.
 //
 // The data path is deterministic end to end: the engine builds each
-// snapshot from order-independent sources (metric deltas merged at the
-// step barrier, commutative per-shard sums, a sequential post-commit
-// census), and the Collector only derives from that snapshot plus the
-// pure schedule arithmetic — so workers=1 and workers=N produce
-// byte-identical series (asserted in internal/core's tests).
+// snapshot from the step's metric deltas, its excited-request count
+// and a post-commit census, and the Collector only derives from that
+// snapshot plus the pure schedule arithmetic — so a seed fixes the
+// series byte for byte (pinned by TestObsOutputPinned in
+// internal/core).
 package obs
 
 import "hotpotato/internal/sim"

@@ -44,7 +44,6 @@ func TestCollectorAnnotatesSteps(t *testing.T) {
 	p := testProblem(t)
 	router, sched := frameSetup(t, p)
 	e := sim.NewEngine(p, router, 4)
-	defer e.Close()
 	ts := &obs.TimeSeries{}
 	coll := obs.NewCollector(sched, ts)
 	coll.Attach(e)
@@ -106,7 +105,6 @@ func TestCollectorWindows(t *testing.T) {
 	p := testProblem(t)
 	router, sched := frameSetup(t, p)
 	e := sim.NewEngine(p, router, 4)
-	defer e.Close()
 	ts := &obs.TimeSeries{}
 	coll := obs.NewCollector(sched, ts)
 	coll.Attach(e)
@@ -156,7 +154,6 @@ func TestCollectorWindows(t *testing.T) {
 func TestCollectorNilSchedule(t *testing.T) {
 	p := testProblem(t)
 	e := sim.NewEngine(p, baselines.NewGreedy(), 4)
-	defer e.Close()
 	ts := &obs.TimeSeries{}
 	coll := obs.NewCollector(nil, ts)
 	coll.Attach(e)
@@ -221,7 +218,6 @@ func TestTimeSeriesEvery(t *testing.T) {
 	p := testProblem(t)
 	router, sched := frameSetup(t, p)
 	e := sim.NewEngine(p, router, 4)
-	defer e.Close()
 	all := &obs.TimeSeries{}
 	sampled := &obs.TimeSeries{Every: 10}
 	coll := obs.NewCollector(sched, all, sampled)
@@ -247,7 +243,6 @@ func TestTimeSeriesEvery(t *testing.T) {
 func TestLifecycleStories(t *testing.T) {
 	p := testProblem(t)
 	e := sim.NewEngine(p, baselines.NewGreedy(), 4)
-	defer e.Close()
 	ring := obs.NewLifecycle(1 << 16)
 	ring.Attach(e)
 	if _, done := e.Run(100000); !done {
@@ -343,7 +338,6 @@ func TestExportShapes(t *testing.T) {
 	p := testProblem(t)
 	router, sched := frameSetup(t, p)
 	e := sim.NewEngine(p, router, 4)
-	defer e.Close()
 	ts := &obs.TimeSeries{}
 	ring := obs.NewLifecycle(1 << 14)
 	coll := obs.NewCollector(sched, ts)

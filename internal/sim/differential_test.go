@@ -12,16 +12,12 @@ import (
 // but with the injection path selectable. With legacy set the engine is
 // rewound onto the pre-release-queue full pending sweep (the legacy
 // layout of injection state) before running.
-func configuredTrace(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, workers int, legacy bool, fm sim.FaultModel) (sim.Metrics, string) {
+func configuredTrace(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, legacy bool, fm sim.FaultModel) (sim.Metrics, string) {
 	tb.Helper()
 	router, rec := wrapRecorder(mk())
 	e := sim.NewEngine(p, router, seed)
-	defer e.Close()
 	if fm != nil {
 		e.Faults = fm
-	}
-	if workers > 1 {
-		e.SetParallelism(workers, 0)
 	}
 	if legacy {
 		sim.SetLegacyInjectForTest(e, true)
@@ -34,14 +30,14 @@ func configuredTrace(tb testing.TB, p *workload.Problem, mk func() sim.Router, s
 }
 
 // TestDifferentialInjectionTraces is the SoA-vs-legacy differential
-// harness: across the golden matrix (topology x router x workers x
-// faults) the release-queue injection path and the legacy full pending
+// harness: across the golden matrix (topology x router x faults) the
+// release-queue injection path and the legacy full pending
 // sweep must commit byte-identical router-visible traces and metrics.
 // The engine's other SoA structures (flat occupancy, path windows,
 // preselected-node arrays) are shared by both runs and pinned
 // separately by the golden digests; this harness isolates the one axis
 // where a legacy layout still exists to diff against. Runs under -race
-// in CI alongside the parallel determinism tests.
+// in CI alongside the reset and idle-skip determinism tests.
 func TestDifferentialInjectionTraces(t *testing.T) {
 	for pname, p := range matrixProblems(t) {
 		for rname, mk := range goldenRouters(p) {
@@ -57,23 +53,13 @@ func TestDifferentialInjectionTraces(t *testing.T) {
 				fm := fm
 				key := fmt.Sprintf("%s/%s/seed=%d%s", pname, rname, seed, suffix)
 				t.Run(key, func(t *testing.T) {
-					refM, refTr := configuredTrace(t, p, mk, seed, 1, false, fm)
-					for _, cfg := range []struct {
-						name    string
-						workers int
-						legacy  bool
-					}{
-						{"legacy/workers=1", 1, true},
-						{"legacy/workers=4", 4, true},
-						{"queue/workers=4", 4, false},
-					} {
-						m, tr := configuredTrace(t, p, mk, seed, cfg.workers, cfg.legacy, fm)
-						if fmt.Sprintf("%+v", m) != fmt.Sprintf("%+v", refM) {
-							t.Errorf("%s: metrics diverge from queue/workers=1:\n got %+v\nwant %+v", cfg.name, m, refM)
-						}
-						if tr != refTr {
-							t.Errorf("%s: trace diverges from queue/workers=1 (%d vs %d bytes)", cfg.name, len(tr), len(refTr))
-						}
+					refM, refTr := configuredTrace(t, p, mk, seed, false, fm)
+					m, tr := configuredTrace(t, p, mk, seed, true, fm)
+					if m != refM {
+						t.Errorf("legacy: metrics diverge from the release queue:\n got %+v\nwant %+v", m, refM)
+					}
+					if tr != refTr {
+						t.Errorf("legacy: trace diverges from the release queue (%d vs %d bytes)", len(tr), len(refTr))
 					}
 				})
 			}

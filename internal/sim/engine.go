@@ -46,28 +46,6 @@ type Router interface {
 	EndStep(t int, e *Engine)
 }
 
-// ConcurrentRouter is an optional Router extension. A router returning
-// true from ConcurrentRequests certifies that its WantInject and
-// Request methods are safe to call concurrently from multiple
-// goroutines on distinct packets, and that their observable behavior
-// is independent of call order: no draws from a shared sequential
-// generator (use counter-based randomness such as sim.CoinFloat), no
-// cross-packet writes, and shared counters only through atomics.
-// Certified Request/WantInject must also not read engine occupancy
-// (At, InFlight, Active): shard workers clear their own nodes'
-// occupancy at the tail of the fused resolve region (barrier fusion),
-// so occupancy is undefined while requests are in flight. The engine's
-// parallel step path invokes Request from shard workers (and
-// WantInject from injection-filter workers) only for certified
-// routers; every other router keeps the sequential request sweep while
-// still getting sharded deflection. The remaining callbacks (OnDeflect,
-// OnMove, OnAbsorb, EndStep) are always invoked sequentially in a
-// deterministic order, so they need no special care.
-type ConcurrentRouter interface {
-	Router
-	ConcurrentRequests() bool
-}
-
 // InjectionPlanner is an optional Router extension. A router
 // implementing it certifies a per-packet lower bound on injection
 // eligibility that is fixed at Init time: WantInject(t, p) must return
@@ -155,15 +133,9 @@ func (m *Metrics) UnsafeDeflections() int {
 // one arena and recycled through a pool across absorptions and
 // injections.
 //
-// The step additionally supports sharded parallel execution
-// (SetParallelism): the occupied-node list — the materialized active
-// window — is partitioned into equal contiguous blocks each step and
-// the request/arbitrate/deflect phases (plus the fused occupancy
-// clear) run per-block on a bounded worker pool. Slot conflicts are
-// node-local (a slot leaves exactly one node) and arbitration
-// randomness is counter-based (rng.go), so shards share nothing and
-// the committed trace is byte-identical for any worker or shard count.
-// See docs/ALGORITHM.md, "Sharded parallel stepping".
+// An Engine steps on the calling goroutine and is not safe for
+// concurrent use; independent runs parallelize across engines (see
+// internal/mc and internal/campaign).
 type Engine struct {
 	G       *graph.Leveled
 	Packets []Packet
@@ -173,15 +145,14 @@ type Engine struct {
 	// Faults, when non-nil, marks edges as down per step: requests for
 	// a downed edge lose (the packet is deflected among healthy slots)
 	// and deflections never use downed edges. Set before the first
-	// Step. Fault models must be pure functions of (edge, step) — the
-	// parallel step path calls them concurrently from shard workers.
+	// Step. Fault models must be pure functions of (edge, step), so
+	// that a run is reproducible from its seed.
 	Faults FaultModel
 
-	router     Router
-	concurrent bool // router certified via ConcurrentRouter
-	observers  []Observer
-	now        int
-	seed       int64
+	router    Router
+	observers []Observer
+	now       int
+	seed      int64
 
 	// probe/events are the instrumentation hooks (probe.go): nil in the
 	// common case, chained fan-outs when attached. snap is the reusable
@@ -245,8 +216,6 @@ type Engine struct {
 	// bitset (1 bit/edge, L1-resident on 100k-edge networks) replaces
 	// the old 4-bytes-per-edge PacketID array. prevTouched/curTouched
 	// list the dirty edges so per-step resets touch only those bits.
-	// Bits are written at sequential commit points only and read-only
-	// during the sharded phases, so sharing words across shards is safe.
 	prevFwdBits []uint64
 	curFwdBits  []uint64
 	prevTouched []graph.EdgeID
@@ -289,6 +258,14 @@ type Engine struct {
 	moves   []moveRec // indexed by PacketID
 	granted []bool
 
+	// usedBuf is resolveNode's claimed-slot list for one node (winners
+	// plus deflections), loserBuf deflectLosers' loser list; both are
+	// degree-bounded. excited counts this step's requests at or above
+	// ExcitedPriority, kept only while a probe is attached.
+	usedBuf  []int32
+	loserBuf []PacketID
+	excited  int
+
 	// pathPool holds PathList backing arrays — pre-carved from a single
 	// arena at construction and surrendered by absorbed packets — so
 	// injection never allocates, not even during the startup transient.
@@ -321,17 +298,6 @@ type Engine struct {
 	offPath     []int32
 	retraceDirs []uint64
 	retraceDeep []bool
-
-	// Sharding state (see parallel.go). shards always holds at least
-	// one entry: the sequential path runs through shard 0 so that the
-	// deflection bookkeeping is identical in both modes. Shards are
-	// per-step blocks of the occupied list (partitionOccupied), so
-	// there is no static node-to-shard map to maintain.
-	nshards int
-	shards  []shardState
-	pool    *stepPool // nil when workers <= 1
-	wantBuf []bool    // parallel injection-filter decisions, by pending index
-	stepT   int       // step number visible to pool workers
 }
 
 // stallSlot marks a packet that holds in place for one step because a
@@ -427,9 +393,6 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 		prevFwdBits: make([]uint64, (p.G.NumEdges()+63)/64),
 		curFwdBits:  make([]uint64, (p.G.NumEdges()+63)/64),
 		occBits:     make([]uint64, (p.G.NumNodes()+63)/64),
-	}
-	if cr, ok := r.(ConcurrentRouter); ok && cr.ConcurrentRequests() {
-		e.concurrent = true
 	}
 	// Node occupancy is bounded by degree (at most one arrival per
 	// incident edge per step; injection requires an empty node), so
@@ -542,15 +505,13 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 	e.pathBase = make([][]graph.EdgeID, p.N())
 	e.pathHead = make([]int32, p.N())
 	e.granted = make([]bool, p.N())
-	e.wantBuf = make([]bool, p.N())
-	e.setShards(1, 1)
 	e.Reset(seed)
 	return e
 }
 
 // Reset rewinds the engine to step 0 with a new seed, reusing every
-// allocation: the flat occupancy backing, the path-arena pool, slot
-// scratch and the shard/worker configuration all survive, so a
+// allocation: the flat occupancy backing, the path-arena pool and slot
+// scratch all survive, so a
 // Monte-Carlo worker can run thousands of trials on one engine without
 // rebuilding it (see mc.Run). Observers are per-run attachments and are
 // cleared; the router is re-initialized through Router.Init. Resetting
@@ -781,44 +742,6 @@ func (e *Engine) clearOccupancy() {
 	}
 }
 
-// clearOccBits zeroes only the occupancy bitset for every occupied
-// node, leaving the counts alone. This is the sequential half of the
-// fused parallel clear: shard workers zero their own nodes' counts at
-// the tail of the resolve region (distinct uint16 locations, so no
-// shared-word hazard), but the bitset packs 64 nodes per word and
-// nodes from different shards routinely share a word — a concurrent
-// bitClear would be a racing read-modify-write. So the dispatcher
-// clears the bits here, after the barrier, while e.occupied is still
-// intact. Same wide-vs-scatter split as clearOccupancy, with the wide
-// threshold scaled to the word-packed bitset: one cleared word covers
-// 64 nodes, so the band pass wins whenever the covering word range is
-// at most one word per occupied node.
-func (e *Engine) clearOccBits() {
-	n := len(e.occupied)
-	if n == 0 {
-		return
-	}
-	lo, hi := e.Window()
-	if hi >= lo {
-		n0, n1 := int32(len(e.atN)), int32(-1)
-		for l := lo; l <= hi; l++ {
-			if e.lvlNodeLo[l] < n0 {
-				n0 = e.lvlNodeLo[l]
-			}
-			if e.lvlNodeHi[l] > n1 {
-				n1 = e.lvlNodeHi[l]
-			}
-		}
-		if n1 >= n0 && int(n1>>6)-int(n0>>6)+1 <= n {
-			clear(e.occBits[n0>>6 : n1>>6+1])
-			return
-		}
-	}
-	for _, v := range e.occupied {
-		bitClear(e.occBits, int32(v))
-	}
-}
-
 // addAt places an active packet at node v, keeping the occupied-node
 // list consistent.
 func (e *Engine) addAt(v graph.NodeID, pid PacketID) {
@@ -877,7 +800,6 @@ func (e *Engine) repackPath(p *Packet) int32 {
 // Step executes one synchronous time step.
 func (e *Engine) Step() {
 	t := e.now
-	e.stepT = t
 
 	// Phase 1 prologue: release packets whose InjectStep bound has
 	// passed from the schedule into the pending list. Entries are
@@ -935,26 +857,12 @@ func (e *Engine) Step() {
 	// Phase 1: injection in isolation. A packet enters only when its
 	// router wants it in and its source node holds no active packet.
 	// Only never-injected packets are scanned; injected ones leave the
-	// pending list for good. With a worker pool and a certified router
-	// the WantInject sweep — the dominant per-step cost early in a
-	// large staggered run — is fanned out over index chunks; the commit
-	// below then walks the pending list in order, so the admitted set
-	// and all occupancy interactions are identical in both modes.
+	// pending list for good.
 	if len(e.pending) > 0 {
-		parFilter := e.pool != nil && e.concurrent && len(e.pending) >= parallelInjectMin
-		if parFilter {
-			e.pool.runRegion(modeInjectFilter, e.nshards)
-		}
 		keep := e.pending[:0]
-		for i, pid := range e.pending {
+		for _, pid := range e.pending {
 			p := &e.Packets[pid]
-			want := false
-			if parFilter {
-				want = e.wantBuf[i]
-			} else {
-				want = e.router.WantInject(t, p)
-			}
-			if !want {
+			if !e.router.WantInject(t, p) {
 				keep = append(keep, pid)
 				continue
 			}
@@ -995,77 +903,23 @@ func (e *Engine) Step() {
 		e.M.MaxInFlight = len(e.active)
 	}
 
-	// Phases 2+3: collect requests, resolve per-slot winners, and
-	// assign deflection slots to losers. All three are node-local —
-	// every contender for a slot stands at the single node the slot
-	// leaves — so with a worker pool they run over per-step blocks of
-	// the occupied list (partitionOccupied); the arbitration keys
-	// (rng.go) make the winner independent of enumeration order. Router
-	// callbacks for deflections are recorded per shard and replayed
-	// sequentially below, so the router-visible callback order is
-	// identical for every worker and shard count. Each shard also
-	// clears its own nodes' occupancy counts at the tail of its block
-	// (barrier fusion; the word-shared bitset is cleared sequentially
-	// at the commit prologue), so the step never dispatches a third
-	// region between the barrier and the commit. Below
-	// minParallelOccupied live nodes the dispatch overhead exceeds the
-	// work and the phases run in place — same code, same trace.
+	// Phases 2+3: collect requests in active order, then resolve the
+	// occupied nodes in list order: pick each requested slot's winner and
+	// deflect the losers. Both are node-local — every contender for a
+	// slot stands at the single node the slot leaves — and the
+	// counter-based arbitration keys (rng.go) make each winner
+	// independent of enumeration order.
 	e.epoch++
-	for i := range e.shards {
-		e.shards[i].reset()
+	e.excited = 0
+	for _, pid := range e.active {
+		e.collectRequest(t, pid)
 	}
-	cleared := false
-	useParallel := e.pool != nil && len(e.occupied) >= minParallelOccupied
-	switch {
-	case useParallel && e.concurrent:
-		// Fully parallel: requests, arbitration, deflection and the
-		// occupancy clear all fused into one region.
-		e.pool.runRegion(modeShardStep, e.partitionOccupied())
-		cleared = true
-	case useParallel:
-		// Router not certified for concurrent Request: sweep requests
-		// sequentially in active order (preserving any sequential
-		// generator the router draws from), then shard the resolve
-		// phase — arbitration plus deflection plus the fused clear —
-		// which performs no router calls.
-		sh := &e.shards[0]
-		for _, pid := range e.active {
-			e.collectRequest(t, pid, sh)
-		}
-		e.pool.runRegion(modeShardResolve, e.partitionOccupied())
-		cleared = true
-	default:
-		// Sequential: one shard, active-order sweep, in-place node
-		// order — exactly the parallel result by construction.
-		sh := &e.shards[0]
-		for _, pid := range e.active {
-			e.collectRequest(t, pid, sh)
-		}
-		for _, v := range e.occupied {
-			e.resolveNode(t, v, sh)
-		}
+	for _, v := range e.occupied {
+		e.resolveNode(t, v)
 	}
 
-	// Merge: fold per-shard counters and replay deflection callbacks.
-	// Shards are contiguous blocks of the occupied list in order, and
-	// each shard visits its block in order, so concatenating the
-	// per-shard records in shard order reconstructs the exact
-	// sequential callback order — no per-node shard lookup, no cursor
-	// walk.
-	stepExcited := 0
-	for i := range e.shards {
-		sh := &e.shards[i]
-		e.M.FaultBlocked += sh.faultBlocked
-		stepExcited += sh.excited
-		for _, rec := range sh.deflects {
-			e.applyDeflectRecord(t, rec)
-		}
-	}
-
-	// Phases 4+5, fused: clear the old occupancy (just the bitset when
-	// the shard regions already zeroed the counts — barrier fusion),
-	// then one sweep over the
-	// active list commits all moves simultaneously and rebuilds
+	// Phases 4+5, fused: clear the old occupancy, then one sweep over
+	// the active list commits all moves simultaneously and rebuilds
 	// occupancy from the survivors, touching only live nodes (no router
 	// callback observes occupancy, so clearing before the commits is
 	// unobservable). Forward-memory bits from the previous use of the
@@ -1075,14 +929,7 @@ func (e *Engine) Step() {
 		bitClear(e.curFwdBits, int32(ed))
 	}
 	e.curTouched = e.curTouched[:0]
-	if cleared {
-		// Shard regions zeroed their own nodes' counts (barrier
-		// fusion); only the word-shared bitset is left for the
-		// sequential prologue.
-		e.clearOccBits()
-	} else {
-		e.clearOccupancy()
-	}
+	e.clearOccupancy()
 	e.occupied = e.occupied[:0]
 	keep := e.active[:0]
 	for _, pid := range e.active {
@@ -1107,7 +954,7 @@ func (e *Engine) Step() {
 	e.now++
 	e.M.Steps = e.now
 	if e.probe != nil {
-		e.emitSnapshot(t, stepExcited)
+		e.emitSnapshot(t, e.excited)
 	}
 	for _, o := range e.observers {
 		o(t, e)
@@ -1119,7 +966,7 @@ func (e *Engine) Step() {
 // request arrays (reqSlot/reqPrio); no shared slot state is touched, so
 // the sweep streams through memory. Winner resolution happens afterwards
 // in resolveNode, node by node.
-func (e *Engine) collectRequest(t int, pid PacketID, sh *shardState) {
+func (e *Engine) collectRequest(t int, pid PacketID) {
 	p := &e.Packets[pid]
 	req := e.router.Request(t, p)
 	// Fast-path validation: the head traversal in the engine-maintained
@@ -1136,10 +983,10 @@ func (e *Engine) collectRequest(t int, pid PacketID, sh *shardState) {
 	}
 	e.granted[pid] = false
 	if e.probe != nil && req.Priority >= ExcitedPriority {
-		sh.excited++
+		e.excited++
 	}
 	if e.Faults != nil && e.Faults(req.Edge, t) {
-		sh.faultBlocked++
+		e.M.FaultBlocked++
 		e.reqSlot[pid] = blockedSlot
 		return
 	}
@@ -1157,7 +1004,7 @@ func (e *Engine) collectRequest(t int, pid PacketID, sh *shardState) {
 // enumeration order yields the same winner (each of k contenders wins
 // with probability 1/k; see rng.go). Keys are only computed when a slot
 // actually has two equal-priority contenders.
-func (e *Engine) resolveNode(t int, v graph.NodeID, sh *shardState) {
+func (e *Engine) resolveNode(t int, v graph.NodeID) {
 	occ := e.At(v)
 	if len(occ) == 1 {
 		// Overwhelmingly the common case under sparse load: one packet,
@@ -1168,11 +1015,11 @@ func (e *Engine) resolveNode(t int, v graph.NodeID, sh *shardState) {
 			e.moves[pid] = moveRec{epoch: e.epoch, slot: s}
 			return
 		}
-		sh.usedBuf = sh.usedBuf[:0]
-		e.deflectLosers(t, v, occ, sh)
+		e.usedBuf = e.usedBuf[:0]
+		e.deflectLosers(t, v, occ)
 		return
 	}
-	used := sh.usedBuf[:0]
+	used := e.usedBuf[:0]
 	for i, pid := range occ {
 		s := e.reqSlot[pid]
 		if s == blockedSlot {
@@ -1214,25 +1061,8 @@ func (e *Engine) resolveNode(t int, v graph.NodeID, sh *shardState) {
 		e.moves[w] = moveRec{epoch: e.epoch, slot: s}
 		used = append(used, s)
 	}
-	sh.usedBuf = used
-	e.deflectLosers(t, v, occ, sh)
-}
-
-// applyDeflectRecord commits one deferred deflection (or fault stall):
-// counters and the router callback, in deterministic merge order.
-func (e *Engine) applyDeflectRecord(t int, rec deflectRec) {
-	if rec.slot == stallSlot {
-		e.M.FaultStalls++
-		if e.events != nil {
-			e.events.RecordEvent(t, rec.pid, EventStall, 0)
-		}
-		return
-	}
-	e.M.Deflections[rec.kind]++
-	if e.events != nil {
-		e.events.RecordEvent(t, rec.pid, EventDeflect, int32(rec.kind))
-	}
-	e.router.OnDeflect(t, &e.Packets[rec.pid], slotEdge(rec.slot), rec.kind)
+	e.usedBuf = used
+	e.deflectLosers(t, v, occ)
 }
 
 // checkRequest diagnoses an invalid request (cold path: collectRequest
@@ -1258,25 +1088,25 @@ func (e *Engine) checkRequest(p *Packet, req Request) error {
 // packet's own arrival, (2) safe backward slots recycled from the
 // previous step's forward traversals, (3) any backward slot, (4) any
 // forward slot. Under the paper's preconditions only (1) and (2) occur.
-// Claimed slots live in sh.usedBuf (seeded by resolveNode with the
-// granted slots) — all slot state is node-local, so shards may run this
-// concurrently for their own nodes; router callbacks are deferred into
-// sh.deflects and replayed at the merge.
-func (e *Engine) deflectLosers(t int, v graph.NodeID, occ []PacketID, sh *shardState) {
-	sh.loserBuf = sh.loserBuf[:0]
+// Claimed slots live in usedBuf (seeded by resolveNode with the granted
+// slots). Each deflection is counted, recorded and reported to the
+// router as it is assigned, so callbacks and events follow the
+// occupied-list order of the nodes.
+func (e *Engine) deflectLosers(t int, v graph.NodeID, occ []PacketID) {
+	e.loserBuf = e.loserBuf[:0]
 	for _, pid := range occ {
 		if !e.granted[pid] {
-			sh.loserBuf = append(sh.loserBuf, pid)
+			e.loserBuf = append(e.loserBuf, pid)
 		}
 	}
-	if len(sh.loserBuf) == 0 {
+	if len(e.loserBuf) == 0 {
 		return
 	}
-	losers := sh.loserBuf
+	losers := e.loserBuf
 	node := e.G.Node(v)
 
 	free := func(s int32) bool {
-		for _, u := range sh.usedBuf {
+		for _, u := range e.usedBuf {
 			if u == s {
 				return false
 			}
@@ -1284,10 +1114,15 @@ func (e *Engine) deflectLosers(t int, v graph.NodeID, occ []PacketID, sh *shardS
 		return e.Faults == nil || !e.Faults(slotEdge(s), t)
 	}
 	assign := func(pid PacketID, s int32, kind DeflectKind) {
-		sh.usedBuf = append(sh.usedBuf, s)
+		e.usedBuf = append(e.usedBuf, s)
 		e.moves[pid] = moveRec{epoch: e.epoch, slot: s}
-		e.Packets[pid].Deflections++
-		sh.deflects = append(sh.deflects, deflectRec{pid: pid, slot: s, kind: kind})
+		p := &e.Packets[pid]
+		p.Deflections++
+		e.M.Deflections[kind]++
+		if e.events != nil {
+			e.events.RecordEvent(t, pid, EventDeflect, int32(kind))
+		}
+		e.router.OnDeflect(t, p, slotEdge(s), kind)
 	}
 
 	// Pass 1: own arrival reverse.
@@ -1354,7 +1189,10 @@ func (e *Engine) deflectLosers(t int, v graph.NodeID, occ []PacketID, sh *shardS
 				// for one step (stallSlot), the bufferless model's local
 				// escape hatch under faults.
 				e.moves[pid] = moveRec{epoch: e.epoch, slot: stallSlot}
-				sh.deflects = append(sh.deflects, deflectRec{pid: pid, slot: stallSlot})
+				e.M.FaultStalls++
+				if e.events != nil {
+					e.events.RecordEvent(t, pid, EventStall, 0)
+				}
 				continue
 			}
 			panic(fmt.Sprintf("sim: step %d: node %d: no free slot for deflected packet %d (capacity violated)", t, v, pid))

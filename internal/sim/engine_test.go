@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hotpotato/internal/baselines"
@@ -425,5 +427,153 @@ func TestMaxStepsBudget(t *testing.T) {
 	steps, done = e.Run(100)
 	if !done || steps != 9 {
 		t.Errorf("resumed run = (%d,%v), want (9,true)", steps, done)
+	}
+}
+
+// recorder wraps a router and logs every callback that reports an
+// outcome (deflect, move, absorb) — the engine's full router-visible
+// trace. WantInject and Request are passed through unlogged.
+type recorder struct {
+	inner sim.Router
+	log   strings.Builder
+}
+
+func (r *recorder) Name() string       { return r.inner.Name() }
+func (r *recorder) Init(e *sim.Engine) { r.inner.Init(e) }
+func (r *recorder) WantInject(t int, p *sim.Packet) bool {
+	return r.inner.WantInject(t, p)
+}
+func (r *recorder) Request(t int, p *sim.Packet) sim.Request {
+	return r.inner.Request(t, p)
+}
+func (r *recorder) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, k sim.DeflectKind) {
+	fmt.Fprintf(&r.log, "d %d %d %d %d\n", t, p.ID, e, k)
+	r.inner.OnDeflect(t, p, e, k)
+}
+func (r *recorder) OnMove(t int, p *sim.Packet) {
+	fmt.Fprintf(&r.log, "m %d %d %d\n", t, p.ID, p.Cur)
+	r.inner.OnMove(t, p)
+}
+func (r *recorder) OnAbsorb(t int, p *sim.Packet) {
+	fmt.Fprintf(&r.log, "a %d %d\n", t, p.ID)
+	r.inner.OnAbsorb(t, p)
+}
+func (r *recorder) EndStep(t int, e *sim.Engine) { r.inner.EndStep(t, e) }
+
+// plannerRecorder forwards the inner router's InjectionPlanner bound,
+// so recorded runs exercise the engine's release queue exactly like
+// unwrapped runs (a wrapper that hid InjectStep would silently fall
+// back to the legacy full pending sweep).
+type plannerRecorder struct{ recorder }
+
+func (r *plannerRecorder) InjectStep(p *sim.Packet) int {
+	return r.inner.(sim.InjectionPlanner).InjectStep(p)
+}
+
+// wrapRecorder wraps the router, keeping its InjectionPlanner bound.
+func wrapRecorder(inner sim.Router) (sim.Router, *recorder) {
+	if _, ok := inner.(sim.InjectionPlanner); ok {
+		w := &plannerRecorder{recorder{inner: inner}}
+		return w, &w.recorder
+	}
+	w := &recorder{inner: inner}
+	return w, w
+}
+
+// fullTrace runs the problem to completion and returns the metrics plus
+// a byte-exact trace: every router callback in order, then the final
+// state of every packet including its remaining path list. An optional
+// trailing fault model runs the engine under that campaign.
+func fullTrace(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, faults ...sim.FaultModel) (sim.Metrics, string) {
+	tb.Helper()
+	router, rec := wrapRecorder(mk())
+	e := sim.NewEngine(p, router, seed)
+	for _, f := range faults {
+		e.Faults = f
+	}
+	if _, done := e.Run(100000); !done {
+		tb.Fatalf("run did not complete")
+	}
+	return e.M, finalTrace(e, rec)
+}
+
+// finalTrace renders the byte-exact identity of a completed run: the
+// recorded callback log followed by the final state of every packet.
+func finalTrace(e *sim.Engine, rec *recorder) string {
+	var b strings.Builder
+	b.WriteString(rec.log.String())
+	for i := range e.Packets {
+		pk := &e.Packets[i]
+		fmt.Fprintf(&b, "p %d %d %d %d %d %d %d %v\n", pk.ID, pk.Cur,
+			pk.InjectTime, pk.AbsorbTime, pk.Deflections,
+			pk.ForwardMoves, pk.BackwardMoves, pk.PathList)
+	}
+	return b.String()
+}
+
+func matrixProblems(tb testing.TB) map[string]*workload.Problem {
+	tb.Helper()
+	ps := map[string]*workload.Problem{}
+
+	g, err := topo.Butterfly(6)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bf, err := workload.FullThroughput(g, rand.New(rand.NewSource(7)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ps["butterfly"] = bf
+
+	mh, err := workload.MeshHard(8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ps["mesh"] = mh
+
+	rng := rand.New(rand.NewSource(9))
+	rg, err := topo.Random(rng, 18, 3, 6, 0.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rp, err := workload.Random(rg, rng, 0.6)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ps["random"] = rp
+	return ps
+}
+
+// TestEngineResetMatchesFresh: a reused engine rewound with Reset must
+// reproduce a fresh engine's run exactly — including when the reset
+// interrupts a run in flight.
+func TestEngineResetMatchesFresh(t *testing.T) {
+	for pname, p := range matrixProblems(t) {
+		t.Run(pname, func(t *testing.T) {
+			mk := func() sim.Router { return baselines.NewOldestFirst() }
+			wantM, wantTr := fullTrace(t, p, mk, 5)
+
+			// Reuse one engine across three scenarios: a completed run
+			// with another seed, a mid-run abandonment, then the target
+			// seed.
+			router, rec := wrapRecorder(mk())
+			e := sim.NewEngine(p, router, 99)
+			e.Run(100000)
+			e.Reset(7)
+			for i := 0; i < 3 && !e.Done(); i++ {
+				e.Step()
+			}
+			e.Reset(5)
+			rec.log.Reset()
+			if _, done := e.Run(100000); !done {
+				t.Fatal("reused run did not complete")
+			}
+			if e.M != wantM {
+				t.Errorf("metrics differ after Reset:\n got %+v\nwant %+v", e.M, wantM)
+			}
+			if finalTrace(e, rec) != wantTr {
+				t.Errorf("trace differs after Reset")
+			}
+		})
 	}
 }

@@ -1,34 +1,11 @@
 package sim
 
-import "hotpotato/internal/graph"
-
 // Test-only exports: the statistical tests exercise the unexported
 // counter-based generators directly.
 var (
 	ArbKeyForTest    = arbKey
 	ArbStreamForTest = arbStream
 )
-
-// PartitionBlocksForTest installs occ as the engine's occupied list,
-// runs the window-sharded partitioner, and returns each shard's block.
-// The skew test asserts the blocks are balanced to within one node and
-// concatenate to occ in order.
-func PartitionBlocksForTest(e *Engine, occ []graph.NodeID) [][]graph.NodeID {
-	saved := e.occupied
-	e.occupied = occ
-	k := e.partitionOccupied()
-	out := make([][]graph.NodeID, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, e.shards[i].occ)
-		e.shards[i].occ = nil
-	}
-	e.occupied = saved
-	return out
-}
-
-// MinParallelOccupiedForTest exposes the small-window sequential
-// cutoff, so tests can build workloads that straddle it.
-const MinParallelOccupiedForTest = minParallelOccupied
 
 // SetLegacyInjectForTest disables (v=true) or re-enables (v=false) the
 // InjectionPlanner release queue, restoring the legacy full pending

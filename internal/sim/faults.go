@@ -7,11 +7,12 @@ import (
 // FaultModel reports whether an edge is down at a step. A downed edge
 // carries no traffic in either direction: requests for it lose and the
 // packet is deflected; deflection assignment skips it. Fault models
-// must be pure, deterministic functions of (edge, step) — the sharded
-// parallel step (SetParallelism) calls them concurrently from several
-// goroutines, and reproducibility requires the same answer on every
-// worker schedule — and must leave every node enough healthy slots for
-// its occupants; the engine's capacity panic is the overload signal.
+// must be pure, deterministic functions of (edge, step) — a run is
+// reproducible from its seed only if every query for an (edge, step)
+// gets the same answer, however often and in whatever order the
+// engines, probes and availability gauges ask — and must leave every
+// node enough healthy slots for its occupants; the engine's capacity
+// panic is the overload signal.
 type FaultModel func(e graph.EdgeID, t int) bool
 
 // NoFaults is the all-healthy model.

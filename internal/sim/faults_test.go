@@ -1,9 +1,7 @@
 package sim_test
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"hotpotato/internal/baselines"
@@ -130,11 +128,10 @@ func TestEngineResetAfterFaultsMatchesFresh(t *testing.T) {
 		},
 	} {
 		t.Run(rname, func(t *testing.T) {
-			wantM, wantTr := fullTrace(t, p, mk, 5, 1, 0)
+			wantM, wantTr := fullTrace(t, p, mk, 5)
 
 			router, rec := wrapRecorder(mk())
 			e := sim.NewEngine(p, router, 99)
-			defer e.Close()
 			e.Faults = sim.HashFaults(9, 0.05, 8)
 			if _, done := e.Run(1 << 20); !done {
 				t.Fatal("faulted run did not complete")
@@ -149,21 +146,14 @@ func TestEngineResetAfterFaultsMatchesFresh(t *testing.T) {
 			if _, done := e.Run(100000); !done {
 				t.Fatal("post-fault reset run did not complete")
 			}
-			var b strings.Builder
-			b.WriteString(rec.log.String())
-			for i := range e.Packets {
-				pk := &e.Packets[i]
-				fmt.Fprintf(&b, "p %d %d %d %d %d %d %d %v\n", pk.ID, pk.Cur,
-					pk.InjectTime, pk.AbsorbTime, pk.Deflections,
-					pk.ForwardMoves, pk.BackwardMoves, pk.PathList)
-			}
+			tr := finalTrace(e, rec)
 			if e.M.FaultBlocked != 0 || e.M.FaultStalls != 0 {
 				t.Errorf("fault counters survived Reset: %+v", e.M)
 			}
 			if e.M != wantM {
 				t.Errorf("metrics differ after faulted run + Reset:\n got %+v\nwant %+v", e.M, wantM)
 			}
-			if b.String() != wantTr {
+			if tr != wantTr {
 				t.Error("trace differs after faulted run + Reset")
 			}
 		})

@@ -41,7 +41,7 @@ var goldenSeeds = []int64{3, 42}
 // optional trailing fault model runs the case under that campaign.
 func traceDigest(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, fm ...sim.FaultModel) string {
 	tb.Helper()
-	m, tr := fullTrace(tb, p, mk, seed, 1, 0, fm...)
+	m, tr := fullTrace(tb, p, mk, seed, fm...)
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v\n", m)
 	h.Write([]byte(tr))

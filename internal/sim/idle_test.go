@@ -36,7 +36,6 @@ func newIdleEngine(tb testing.TB, seed int64) (*sim.Engine, *spacedPlanner, *rec
 	sp := &spacedPlanner{Greedy: baselines.NewGreedy()}
 	router, rec := wrapRecorder(sp)
 	e := sim.NewEngine(idleProblem(tb), router, seed)
-	tb.Cleanup(e.Close)
 	return e, sp, rec
 }
 

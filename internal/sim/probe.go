@@ -8,10 +8,8 @@ import "hotpotato/internal/graph"
 // probe or sink attached the step loop performs a handful of nil
 // checks and nothing else, preserving the CI-gated 0 allocs/step
 // invariant; with one attached, every snapshot field is produced from
-// order-independent sources (metric deltas merged at the step barrier,
-// per-shard counters summed commutatively, a post-commit census walked
-// sequentially), so the series is byte-identical for every worker and
-// shard count. The higher-level probe vocabulary — per-round and
+// the step's metric deltas, its excited-request count and a post-commit
+// census, so a seed fixes the series byte for byte. The higher-level probe vocabulary — per-round and
 // per-phase callbacks, schedule annotation, exporters — lives in
 // internal/obs, which consumes these hooks.
 
@@ -37,7 +35,7 @@ type StepSnapshot struct {
 	Deflections [4]int `json:"deflections"`
 	// Excited counts requests submitted this step at or above
 	// ExcitedPriority — the engine-visible shadow of the frame router's
-	// excitation census, accumulated per shard and summed at the merge.
+	// excitation census, counted as requests are collected.
 	Excited int `json:"excited"`
 	// Fault and injection-pressure deltas.
 	FaultBlocked   int `json:"fault_blocked"`
@@ -147,11 +145,11 @@ const (
 	RestoreAbsorbed
 )
 
-// EventSink receives packet lifecycle events. All engine emissions
-// happen at sequential points of the step (injection commit, deflection
-// replay, move commit), so the event order is deterministic for every
-// worker and shard count. Events within one step carry the same stamp
-// and are ordered by commit position, not by intra-step causality.
+// EventSink receives packet lifecycle events. The engine emits them at
+// fixed points of the step (injection commit, deflection assignment in
+// occupied-list order, move commit), so a seed fixes the event order.
+// Events within one step carry the same stamp and are ordered by
+// emission position, not by intra-step causality.
 type EventSink interface {
 	RecordEvent(t int, pid PacketID, kind EventKind, arg int32)
 }

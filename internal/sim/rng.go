@@ -6,16 +6,16 @@ package sim
 // conflict by giving each contender the key arbKey(seed, t, slot, pid)
 // and crowning the largest key (ties, ~2^-64, break toward the larger
 // packet ID). Because max is commutative, the winner does not depend on
-// the order in which contenders are enumerated — requests may be
-// gathered packet-by-packet, node-by-node, or concurrently from shard
-// workers and the trace is byte-identical. Each of k contenders holds
-// the largest of k iid uniform keys with probability exactly 1/k, so
-// the reservoir-selection uniformity of the sequential engine is
-// preserved (and chi-square tested in arbitration_test.go).
+// the order in which contenders are enumerated: requests may be
+// gathered packet-by-packet or node-by-node and the trace is
+// byte-identical, which keeps the golden traces fixed across changes to
+// the step's loops. Each of k contenders holds the largest of k iid
+// uniform keys with probability exactly 1/k, so the uniformity of
+// reservoir selection is preserved (and chi-square tested in
+// arbitration_test.go).
 //
 // A slot (edge, direction) is leavable from exactly one node, so keying
-// on the slot is the same as keying on (node, slot) — the form the
-// sharding design is stated in.
+// on the slot is the same as keying on (node, slot).
 //
 // The mixer is Steele, Lea & Flood's SplitMix64 finalizer (the seeder
 // of xoshiro); it passes BigCrush as a counter-mode generator.

@@ -176,3 +176,40 @@ func TestSFMaxStepsBudget(t *testing.T) {
 		t.Errorf("Now = %d", e.Now())
 	}
 }
+
+// TestSFEngineResetMatchesFresh mirrors the reset test for the
+// store-and-forward engine, including the random-delay scheduler whose
+// initial delays are re-drawn from the reseeded engine RNG.
+func TestSFEngineResetMatchesFresh(t *testing.T) {
+	for pname, p := range matrixProblems(t) {
+		t.Run(pname, func(t *testing.T) {
+			for _, mk := range []func() sim.Scheduler{
+				func() sim.Scheduler { return baselines.NewFIFO() },
+				func() sim.Scheduler { return baselines.NewRandomDelay(p.C, 1) },
+			} {
+				fresh := sim.NewSFEngine(p, mk(), 5)
+				fresh.Run(100000)
+
+				reused := sim.NewSFEngine(p, mk(), 99)
+				reused.Run(100000)
+				reused.Reset(7)
+				for i := 0; i < 3 && !reused.Done(); i++ {
+					reused.Step()
+				}
+				reused.Reset(5)
+				reused.Run(100000)
+
+				if fresh.M != reused.M {
+					t.Errorf("SF metrics differ after Reset:\n got %+v\nwant %+v", reused.M, fresh.M)
+				}
+				for i := range fresh.Packets {
+					a, b := &fresh.Packets[i], &reused.Packets[i]
+					if a.InjectTime != b.InjectTime || a.AbsorbTime != b.AbsorbTime ||
+						a.ForwardMoves != b.ForwardMoves {
+						t.Errorf("SF packet %d differs after Reset: %+v vs %+v", i, a, b)
+					}
+				}
+			}
+		})
+	}
+}

@@ -28,20 +28,11 @@ type Options struct {
 	// Profile records per-phase progress into Result.Phases (frame
 	// router only).
 	Profile bool
-	// Workers enables the engine's sharded parallel step path with the
-	// given number of goroutines (0 or 1 = sequential). The committed
-	// trace is byte-identical for every setting; only wall-clock
-	// changes. Applies to the frame router and hot-potato baselines
-	// (store-and-forward baselines are always sequential).
-	Workers int
-	// Shards is the number of contiguous node shards for the parallel
-	// step (0 = Workers x 8, oversubscribed for load balance).
-	Shards int
 	// Probes receive the annotated observability series (per step,
 	// round and phase under the frame router's schedule; baselines
 	// have no timetable, so their steps carry Phase = Round = -1 and
 	// the round/phase callbacks fire once at run end covering the
-	// whole run). The series is identical for every Workers setting.
+	// whole run).
 	Probes []Probe
 	// Events, if non-nil, receives packet lifecycle events
 	// (inject/deflect/stall/absorb from the engines, excite/restore
@@ -71,8 +62,6 @@ func RouteFrame(p *Problem, params Params, opt Options) *Result {
 		MaxSteps: opt.MaxSteps,
 		Check:    opt.CheckInvariants,
 		Profile:  opt.Profile,
-		Workers:  opt.Workers,
-		Shards:   opt.Shards,
 		Probes:   opt.Probes,
 		Events:   opt.Events,
 		Faults:   opt.boundFaults(p),
@@ -134,10 +123,6 @@ func RouteBaseline(p *Problem, kind BaselineKind, opt Options) (*BaselineResult,
 		}
 		e := sim.NewEngine(p, r, opt.Seed)
 		e.Faults = opt.boundFaults(p)
-		if opt.Workers > 1 {
-			e.SetParallelism(opt.Workers, opt.Shards)
-			defer e.Close()
-		}
 		coll := attachObs(opt, e.AttachEventSink, func(c *obs.Collector) { c.Attach(e) })
 		res.Steps, res.Done = e.Run(maxSteps)
 		if coll != nil {
