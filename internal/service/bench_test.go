@@ -45,14 +45,53 @@ func newBenchCall(path, body string) *benchCall {
 	return c
 }
 
+// newTickHarness serves BenchmarkServiceTick's two calls on a
+// butterfly(7) kept near its stability knee: a 120-packet random batch
+// from an unlimited tenant, and a one-step advance. The network is
+// filled by 200 ticks before it returns. Every call reuses one request
+// and one in-memory ResponseWriter, and a reply other than 200 fails
+// tb.
+func newTickHarness(tb testing.TB) (serve func(*benchCall), batch, advance *benchCall) {
+	g, err := topo.Butterfly(7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := New([]TopologyConfig{{
+		Name: "bfly", Network: g,
+		Engine:  dynamic.Config{Seed: 1, Retry: dynamic.RetryPolicy{MaxAttempts: 8}},
+		Tenants: []TenantQuota{{Name: "gold"}},
+	}}, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	h := s.Handler()
+	w := &respWriter{header: make(http.Header)}
+	serve = func(c *benchCall) {
+		c.body.Reset(c.data)
+		clear(w.header)
+		w.code = 0
+		w.body.Reset()
+		h.ServeHTTP(w, c.req)
+		if w.code != http.StatusOK {
+			tb.Fatalf("POST %s: status %d: %s", c.req.URL.Path, w.code, w.body.Bytes())
+		}
+	}
+	batch = newBenchCall("/v1/topologies/bfly/batches", `{"tenant":"gold","random":120}`)
+	advance = newBenchCall("/v1/topologies/bfly/advance", `{"steps":1}`)
+	for i := 0; i < 200; i++ {
+		serve(batch)
+		serve(advance)
+	}
+	return serve, batch, advance
+}
+
 // BenchmarkServiceTick measures manual-stepping service ticks through
-// the HTTP handler on a butterfly(7) kept near its stability knee: a
-// tick is a 120-packet random batch from an unlimited tenant, then a
-// one-step advance. "tick" times both calls, "batch" and "advance"
-// time one call each (the other runs with the timer stopped, so the
-// trajectory is the same). Every call reuses one request and one
-// in-memory ResponseWriter, so the figures are the handler's own —
-// routing, request decode, the service call and the reply encode.
+// the HTTP handler (newTickHarness): "tick" times a batch and an
+// advance, "batch" and "advance" time one call each (the other runs
+// with the timer stopped, so the trajectory is the same). The figures
+// are the handler's own — routing, request decode, the service call
+// and the reply encode.
 func BenchmarkServiceTick(b *testing.B) {
 	for _, bc := range []struct {
 		name           string
@@ -63,37 +102,7 @@ func BenchmarkServiceTick(b *testing.B) {
 		{"advance", false, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			g, err := topo.Butterfly(7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s, err := New([]TopologyConfig{{
-				Name: "bfly", Network: g,
-				Engine:  dynamic.Config{Seed: 1, Retry: dynamic.RetryPolicy{MaxAttempts: 8}},
-				Tenants: []TenantQuota{{Name: "gold"}},
-			}}, Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			h := s.Handler()
-			w := &respWriter{header: make(http.Header)}
-			serve := func(c *benchCall) {
-				c.body.Reset(c.data)
-				clear(w.header)
-				w.code = 0
-				w.body.Reset()
-				h.ServeHTTP(w, c.req)
-				if w.code != http.StatusOK {
-					b.Fatalf("POST %s: status %d: %s", c.req.URL.Path, w.code, w.body.Bytes())
-				}
-			}
-			batch := newBenchCall("/v1/topologies/bfly/batches", `{"tenant":"gold","random":120}`)
-			advance := newBenchCall("/v1/topologies/bfly/advance", `{"steps":1}`)
-			for i := 0; i < 200; i++ { // fill the network before timing
-				serve(batch)
-				serve(advance)
-			}
+			serve, batch, advance := newTickHarness(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			timed := func(on bool) { // no-op when the timer is already so

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 )
@@ -38,7 +37,7 @@ func (s *Service) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/topologies/{name}/batches", func(w http.ResponseWriter, r *http.Request) {
 		var req BatchRequest
-		if err := decodeJSON(w, r, &req); err != nil {
+		if err := decodeRequest(w, r, &req, scanBatch); err != nil {
 			return
 		}
 		res, err := s.SubmitBatch(r.PathValue("name"), req)
@@ -46,13 +45,11 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		writeOK(w, &res)
 	})
 	mux.HandleFunc("POST /v1/topologies/{name}/advance", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Steps int `json:"steps"`
-		}
-		if err := decodeJSON(w, r, &req); err != nil {
+		var req advanceRequest
+		if err := decodeRequest(w, r, &req, scanAdvance); err != nil {
 			return
 		}
 		step, err := s.Advance(r.PathValue("name"), req.Steps)
@@ -60,7 +57,7 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, advanceReply{Step: step})
+		writeOK(w, advanceReply{Step: step})
 	})
 	mux.HandleFunc("POST /v1/topologies/{name}/windows", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
@@ -73,7 +70,7 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, flushReply{Flushed: true})
+		writeOK(w, flushReply{Flushed: true})
 	})
 	return mux
 }
@@ -104,24 +101,6 @@ func (s *Service) Publish(name string) {
 
 const maxBodyBytes = 8 << 20
 
-// decodeJSON reads exactly one JSON value (and trailing whitespace)
-// from the body into v, answering 400 on any failure.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		if _, tokErr := dec.Token(); tokErr != io.EOF {
-			err = errors.New("trailing data after the JSON value")
-		}
-	}
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad request body: " + err.Error()})
-		return err
-	}
-	return nil
-}
-
 // Reply bodies of the endpoints that answer no stats or batch result.
 type (
 	advanceReply struct {
@@ -145,10 +124,18 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		status = http.StatusInternalServerError
 		body, _ = json.Marshal(errorReply{Error: "encode reply: " + err.Error()}) // a string always encodes
 	}
-	body = append(body, '\n')
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody answers status with body, a JSON value and a newline, in a
+// single Write. The headers are assigned under their canonical keys,
+// which skips Header.Set's canonicalization; their values share one
+// array, each capped so that an Add to either copies it.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	vals := []string{"application/json", strconv.Itoa(len(body))}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Type"] = vals[:1:1]
+	h["Content-Length"] = vals[1:2:2]
 	w.WriteHeader(status)
 	_, _ = w.Write(body) // a failed write means the client is gone; there is no one to tell
 }
