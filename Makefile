@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFaultSpec -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzParseTenants -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzBatchRequest -fuzztime 30s ./internal/service/
+	$(GO) test -fuzz FuzzServiceCodec -fuzztime 30s ./internal/service/
 	$(GO) test -fuzz FuzzReadServiceSnapshot -fuzztime 30s -fuzzminimizetime 2s ./internal/service/
 	$(GO) test -fuzz FuzzSummarize -fuzztime 30s -fuzzminimizetime 2s ./internal/stats/
 

@@ -23,9 +23,9 @@ import (
 // halves against it).
 
 const (
-	// bodyBufBytes is the capacity of a pooled request buffer: far
-	// above any scanned body, and a longer one is decoded from the
-	// buffered prefix and the rest of the stream.
+	// bodyBufBytes is how much of a request body is read ahead: far
+	// above any body the scanners take, and a longer one is decoded
+	// from the buffered prefix and the rest of the stream.
 	bodyBufBytes = 4 << 10
 	// maxPooledBytes bounds the buffers kept for reuse, so one reply
 	// with a long rejected list does not pin its buffer.
@@ -54,7 +54,7 @@ func putBuf(bp *[]byte, b []byte) {
 func decodeRequest[T any](w http.ResponseWriter, r *http.Request, v *T, scan func([]byte, *T) bool) error {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	bp := getBuf()
-	buf, complete := readBody(body, (*bp)[:0])
+	buf, complete := readBody(body, (*bp)[:0:bodyBufBytes])
 	defer putBuf(bp, buf)
 	if complete && scan(buf, v) {
 		return nil
