@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/json"
 	"errors"
 	"io"
@@ -10,7 +10,7 @@ import (
 	"sync"
 )
 
-// The service's wire codec. Request bodies are read once into a pooled
+// The service's wire codec. Request bodies are read ahead into a pooled
 // buffer. A body of the shape the hot endpoints receive — a flat object
 // of exact-case keys whose values are plain printable-ASCII strings or
 // plain integers — is decoded by a strict scanner; every other body,
@@ -25,64 +25,43 @@ import (
 const (
 	// bodyBufBytes is how much of a request body is read ahead: far
 	// above any body the scanners take, and a longer one is decoded
-	// from the buffered prefix and the rest of the stream.
+	// from the read-ahead bytes and the rest of the stream.
 	bodyBufBytes = 4 << 10
-	// maxPooledBytes bounds the buffers kept for reuse, so one reply
-	// with a long rejected list does not pin its buffer.
+	// maxPooledBytes bounds the reply buffers kept for reuse, so one
+	// reply with a long rejected list does not pin its buffer.
 	maxPooledBytes = 64 << 10
 )
 
-var bufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, bodyBufBytes)
-	return &b
-}}
-
-func getBuf() *[]byte { return bufs.Get().(*[]byte) }
-
-// putBuf returns a buffer to the pool, keeping what was appended to it.
-func putBuf(bp *[]byte, b []byte) {
-	if cap(b) <= maxPooledBytes {
-		*bp = b[:0]
-		bufs.Put(bp)
-	}
-}
+var (
+	bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bodyBufBytes) }}
+	replyBufs   = sync.Pool{New: func() any {
+		b := make([]byte, 0, 512)
+		return &b
+	}}
+)
 
 // decodeRequest reads r's body, at most maxBodyBytes of it, and decodes
-// it into v: with scan when the whole body fits the buffer and scan
-// accepts it, else with decodeStrict. It answers 400 on any failure.
-// scan must leave v untouched when it declines.
+// it into v: with scan when the whole body fits the read-ahead buffer
+// and scan accepts it, else with decodeStrict. It answers 400 on any
+// failure. scan must leave v untouched when it declines.
 func decodeRequest[T any](w http.ResponseWriter, r *http.Request, v *T, scan func([]byte, *T) bool) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	bp := getBuf()
-	buf, complete := readBody(body, (*bp)[:0:bodyBufBytes])
-	defer putBuf(bp, buf)
-	if complete && scan(buf, v) {
+	br := bodyReaders.Get().(*bufio.Reader)
+	br.Reset(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	defer func() {
+		br.Reset(nil)
+		bodyReaders.Put(br)
+	}()
+	if head, err := br.Peek(bodyBufBytes); err == io.EOF && scan(head, v) {
 		return nil
 	}
-	var rest io.Reader = bytes.NewReader(buf)
-	if !complete {
-		// MaxBytesReader repeats a read error, so the decoder meets the
-		// one that stopped readBody at the same byte.
-		rest = io.MultiReader(rest, body)
-	}
-	if err := decodeStrict(rest, v); err != nil {
+	// The decoder reads the peeked bytes first, then the stream on. A
+	// read error that cut Peek short comes back at the same byte, as
+	// MaxBytesReader repeats it.
+	if err := decodeStrict(br, v); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: "bad request body: " + err.Error()})
 		return err
 	}
 	return nil
-}
-
-// readBody reads r into buf's spare capacity until EOF, an error or a
-// full buffer; complete reports whether it reached EOF.
-func readBody(r io.Reader, buf []byte) (_ []byte, complete bool) {
-	for len(buf) < cap(buf) {
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err != nil {
-			return buf, err == io.EOF
-		}
-	}
-	return buf, false
 }
 
 // decodeStrict reads exactly one JSON value (and trailing whitespace)
@@ -329,8 +308,11 @@ func (r flushReply) appendJSON(dst []byte) []byte {
 
 // writeOK answers 200 with v's encoding, appended to a pooled buffer.
 func writeOK[T interface{ appendJSON([]byte) []byte }](w http.ResponseWriter, v T) {
-	bp := getBuf()
+	bp := replyBufs.Get().(*[]byte)
 	body := v.appendJSON((*bp)[:0])
 	writeBody(w, http.StatusOK, body)
-	putBuf(bp, body)
+	if cap(body) <= maxPooledBytes {
+		*bp = body[:0]
+		replyBufs.Put(bp)
+	}
 }
