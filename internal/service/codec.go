@@ -41,8 +41,9 @@ var (
 )
 
 // decodeRequest reads r's body, at most maxBodyBytes of it, and decodes
-// it into v: with scan when the whole body fits the read-ahead buffer
-// and scan accepts it, else with decodeStrict. It answers 400 on any
+// it into v: with scan when the body ends within the read-ahead
+// (shorter than bodyBufBytes) and scan accepts it, else with
+// decodeStrict. It answers 400 on any
 // failure. scan must leave v untouched when it declines.
 func decodeRequest[T any](w http.ResponseWriter, r *http.Request, v *T, scan func([]byte, *T) bool) error {
 	br := bodyReaders.Get().(*bufio.Reader)
