@@ -412,7 +412,8 @@ type dynScript struct {
 // runDynamicSuite measures the dynamic engine on the service-smoke
 // butterfly (scale 1) plus three larger butterflies and a faulted
 // variant (scale 2) — the manual-stepped shape scripts/service_smoke.sh drives
-// through the HTTP API, minus the HTTP.
+// through the HTTP API, minus the HTTP — and, at scale 2, butterfly(7)
+// at the packet rate of the svc-replay benchmark.
 func runDynamicSuite(d *Doc) error {
 	scripts := []dynScript{
 		// openload -serve defaults to butterfly(5), manual stepping,
@@ -431,6 +432,11 @@ func runDynamicSuite(d *Doc) error {
 			// it; its reach matrix takes 19 MiB.
 			dynScript{name: "butterfly(10)-service", k: 10, batches: 48, batchSize: 128, advance: 5},
 			dynScript{name: "butterfly(5)-service-faulted", k: 5, batches: 24, batchSize: 16, advance: 5, faulted: true},
+			// The load of the end-to-end svc-replay benchmark, near the
+			// stability knee: 120 random packets every step. The rows
+			// above peak at tens of packets in flight and spend most
+			// steps draining; this one keeps hundreds in flight.
+			dynScript{name: "butterfly(7)-knee", k: 7, batches: 240, batchSize: 120, advance: 1},
 		)
 	}
 	for _, sc := range scripts {

@@ -165,7 +165,9 @@ type Result struct {
 	// equality witness for the snapshot/restore and determinism
 	// contracts. Stamped by Engine.Finalize.
 	TraceDigest uint64
-	// Windows holds the per-window time series when Config.Window > 0.
+	// Windows holds the per-window time series when Config.Window > 0,
+	// oldest first. A run without a horizon (Steps == 0) keeps only its
+	// most recent 4096 windows (maxWindows); a run with one keeps all.
 	Windows []WindowStats
 }
 

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"hotpotato/internal/graph"
@@ -42,7 +43,9 @@ type pendingEntry struct {
 // bookkeeping is epoch-stamped scratch keyed by transmission slot
 // (edge, direction) — no maps, no per-step allocation once warm. Paths
 // sit in per-slot pooled buffers with prepend headroom so a deflection
-// retreats in place instead of copy-prepending.
+// retreats in place instead of copy-prepending. A live path is held as
+// the transmission slots it will take, not as edges, so a request reads
+// its slot off the path head without working out the direction.
 //
 // An Engine is not safe for concurrent use; the service serializes all
 // access through each topology's goroutine.
@@ -77,9 +80,9 @@ type Engine struct {
 	pArrEdge []int32 // -1 = never moved
 	pArrDir  []uint8
 	pInject  []int
-	pBuf     [][]graph.EdgeID // pooled path backing with headroom
-	pHead    []int32          // index of the path head within pBuf
-	pLen     []int32          // remaining path length
+	pBuf     [][]int32 // pooled path backing with headroom, as slots edge<<1 | direction
+	pHead    []int32   // index of the path head within pBuf
+	pLen     []int32   // remaining path length
 
 	free []int32 // recycled packet slots
 	live []int32 // live slots in injection order
@@ -155,17 +158,28 @@ const (
 // installed path so the first deflections prepend in place.
 const pathHeadroom = 8
 
+// fnvPow[k] is fnvPrime64^k: folding k zero bytes into an FNV-1a hash
+// multiplies it by fnvPow[k], since h^0 = h.
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
 // foldDigest folds one 64-bit word into the FNV-1a running digest, one
-// byte at a time from the least significant.
+// byte at a time from the least significant. The words folded are
+// small (packet ids, nodes, steps), so only the bytes up to the highest
+// nonzero one go through the byte loop; the zero bytes above them are
+// folded by one multiply.
 func foldDigest(h, x uint64) uint64 {
-	h = (h ^ x&0xff) * fnvPrime64
-	h = (h ^ x>>8&0xff) * fnvPrime64
-	h = (h ^ x>>16&0xff) * fnvPrime64
-	h = (h ^ x>>24&0xff) * fnvPrime64
-	h = (h ^ x>>32&0xff) * fnvPrime64
-	h = (h ^ x>>40&0xff) * fnvPrime64
-	h = (h ^ x>>48&0xff) * fnvPrime64
-	return (h ^ x>>56) * fnvPrime64
+	n := (bits.Len64(x) + 7) >> 3
+	for i := 0; i < n; i++ {
+		h = (h ^ x&0xff) * fnvPrime64
+		x >>= 8
+	}
+	return h * fnvPow[8-n]
 }
 
 // NewEngine validates the configuration and builds a ready engine.
@@ -259,14 +273,14 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	e.pArrEdge = make([]int32, maxSlots)
 	e.pArrDir = make([]uint8, maxSlots)
 	e.pInject = make([]int, maxSlots)
-	e.pBuf = make([][]graph.EdgeID, maxSlots)
+	e.pBuf = make([][]int32, maxSlots)
 	e.pHead = make([]int32, maxSlots)
 	e.pLen = make([]int32, maxSlots)
 	e.grantEpoch = make([]uint32, maxSlots)
 	e.grantSlot = make([]int32, maxSlots)
 	e.stallEpoch = make([]uint32, maxSlots)
 	e.free = make([]int32, 0, maxSlots)
-	pathArena := make([]graph.EdgeID, maxSlots*pathCap)
+	pathArena := make([]int32, maxSlots*pathCap)
 	for s := maxSlots - 1; s >= 0; s-- {
 		e.pArrEdge[s] = -1
 		e.pTenant[s] = -1
@@ -388,11 +402,15 @@ func (e *Engine) offerPending(en pendingEntry) {
 
 // drawPath samples a forward src→dst path into a pooled buffer — the
 // path and RNG consumption of paths.RandomForwardPath, minus its
-// counting pass: off the reach matrix on a unique-path network, else
-// through a count row.
+// counting pass. On a multi-path network it draws through a count row,
+// one draw per hop. On a unique-path network every hop's choice is a
+// draw among one, which takes exactly one value: the reach matrix walks
+// the path without drawing, and the stream skips those values.
 func (e *Engine) drawPath(src, dst graph.NodeID) ([]graph.EdgeID, error) {
 	if e.counts == nil {
-		return e.reach.AppendPath(e.rng, src, dst, e.borrowQBuf())
+		path, err := e.reach.AppendPath(src, dst, e.borrowQBuf())
+		e.src.skip(len(path))
+		return path, err
 	}
 	return e.counts.AppendPath(e.rng, src, dst, e.borrowQBuf())
 }
@@ -439,29 +457,39 @@ func (e *Engine) allocSlot() int32 {
 	return s
 }
 
-// setPath installs a path into slot s's buffer, centered so both
-// prepends (deflection retreats) and head pops advance in place. The
-// buffer only ever grows, so a warm slot installs without allocating.
-func (e *Engine) setPath(s int32, path []graph.EdgeID) {
-	need := len(path) + 2*pathHeadroom
+// pathWindow sets packet slot s's path to n slots, centered in its
+// buffer so both prepends (deflection retreats) and head pops advance
+// in place, and returns the window for the caller to fill. The buffer
+// only ever grows, so a warm slot installs without allocating.
+func (e *Engine) pathWindow(s int32, n int) []int32 {
+	need := n + 2*pathHeadroom
 	buf := e.pBuf[s]
 	if cap(buf) < need {
-		buf = make([]graph.EdgeID, need)
+		buf = make([]int32, need)
 	} else {
 		buf = buf[:cap(buf)]
 	}
-	head := (len(buf) - len(path)) / 2
-	copy(buf[head:], path)
+	head := (len(buf) - n) / 2
 	e.pBuf[s] = buf
 	e.pHead[s] = int32(head)
-	e.pLen[s] = int32(len(path))
+	e.pLen[s] = int32(n)
+	return buf[head : head+n]
 }
 
-// prependEdge pushes one edge in front of slot s's path head: the
-// in-place replacement for the old copy-prepend on every deflection.
-// When the left headroom is exhausted it recenters within the buffer
-// (pops free space on the left over time) or grows it.
-func (e *Engine) prependEdge(s int32, ed graph.EdgeID) {
+// setPath installs a forward path into packet slot s: each edge is
+// taken in the forward direction.
+func (e *Engine) setPath(s int32, path []graph.EdgeID) {
+	w := e.pathWindow(s, len(path))
+	for i, ed := range path {
+		w[i] = int32(ed)<<1 | int32(graph.Forward)
+	}
+}
+
+// prependSlot pushes one transmission slot in front of packet slot s's
+// path head: the in-place replacement for the old copy-prepend on every
+// deflection. When the left headroom is exhausted it recenters within
+// the buffer (pops free space on the left over time) or grows it.
+func (e *Engine) prependSlot(s int32, si int32) {
 	if e.pHead[s] == 0 {
 		buf, n := e.pBuf[s], int(e.pLen[s])
 		if n < len(buf) {
@@ -469,7 +497,7 @@ func (e *Engine) prependEdge(s int32, ed graph.EdgeID) {
 			copy(buf[shift:shift+n], buf[:n])
 			e.pHead[s] = int32(shift)
 		} else {
-			nbuf := make([]graph.EdgeID, 2*len(buf)+2*pathHeadroom)
+			nbuf := make([]int32, 2*len(buf)+2*pathHeadroom)
 			head := (len(nbuf) - n) / 2
 			copy(nbuf[head:], buf[:n])
 			e.pBuf[s] = nbuf
@@ -477,7 +505,7 @@ func (e *Engine) prependEdge(s int32, ed graph.EdgeID) {
 		}
 	}
 	e.pHead[s]--
-	e.pBuf[s][e.pHead[s]] = ed
+	e.pBuf[s][e.pHead[s]] = si
 	e.pLen[s]++
 }
 
@@ -545,7 +573,7 @@ func (e *Engine) closeWindow() {
 		Availability: safeMean(e.wAvailSum, e.wSpan),
 		MeanLatency:  safeMean(e.wLatSum, e.wDelivered),
 	}
-	e.res.Windows = append(e.res.Windows, ws)
+	e.res.Windows = recentWindows(append(e.res.Windows, ws), e.cfg.Steps)
 	if e.cfg.OnWindow != nil {
 		e.cfg.OnWindow(ws, e.res)
 	}
@@ -553,6 +581,23 @@ func (e *Engine) closeWindow() {
 	e.wLatSum, e.wFlySum, e.wAvailSum = 0, 0, 0
 	e.wPrevBlocked, e.wPrevStalls, e.wPrevDropped = e.res.FaultBlocked, e.res.FaultStalls, e.res.Dropped
 	e.wStart = e.res.ExecutedSteps
+}
+
+// maxWindows bounds Result.Windows of a run without a horizon
+// (Config.Steps == 0): it keeps only its most recent maxWindows windows,
+// so a long-running service's heap and snapshots stop growing with its
+// uptime. A run with a horizon keeps all of its Steps/Window windows.
+const maxWindows = latReservoirCap
+
+// recentWindows drops the windows of a horizon-free run older than its
+// most recent maxWindows, in memory or on the wire. It reslices rather
+// than shifting in place, so a Result copied earlier (Peek) keeps the
+// windows it was given.
+func recentWindows[W WindowStats | persist.WindowState](w []W, steps int) []W {
+	if steps == 0 && len(w) > maxWindows {
+		return w[len(w)-maxWindows:]
+	}
+	return w
 }
 
 // safeMean is sum/n with the empty case pinned to 0 — the NaN guard for
@@ -720,13 +765,11 @@ func (e *Engine) Step() error {
 	ep := e.epoch
 	e.winSlots = e.winSlots[:0]
 	for _, s := range e.live {
-		ed := e.pBuf[s][e.pHead[s]]
-		if e.down(ed, t) {
+		si := e.pBuf[s][e.pHead[s]]
+		if e.down(graph.EdgeID(si>>1), t) {
 			res.FaultBlocked++
 			continue
 		}
-		d := e.g.DirectionFrom(ed, graph.NodeID(e.pCur[s]))
-		si := int32(ed)<<1 | int32(d)
 		k := int32(1)
 		if e.slotEpoch[si] == ep {
 			k = e.slotCount[si] + 1
@@ -835,11 +878,13 @@ func (e *Engine) Step() error {
 		ed := graph.EdgeID(si >> 1)
 		d := graph.Direction(si & 1)
 		dest := e.g.EndpointAt(ed, d)
-		if e.pLen[s] > 0 && e.pBuf[s][e.pHead[s]] == ed {
+		// A move along the path head pops it; any other move is a
+		// deflection, retreated by the same edge the other way.
+		if e.pLen[s] > 0 && e.pBuf[s][e.pHead[s]] == si {
 			e.pHead[s]++
 			e.pLen[s]--
 		} else {
-			e.prependEdge(s, ed)
+			e.prependSlot(s, si^1)
 		}
 		e.pCur[s] = int32(dest)
 		e.pArrEdge[s] = int32(ed)

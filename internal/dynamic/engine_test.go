@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -321,5 +322,124 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		if _, err := Restore(g, st, Hooks{}); err == nil {
 			t.Errorf("%s: corrupted snapshot accepted", name)
 		}
+	}
+
+	// Step installs a queued path as forward moves, so a queued path
+	// that walks from its source to its destination but takes an edge
+	// backward is refused as such: here a live packet's path reversed.
+	for _, queue := range []string{"retry", "pending"} {
+		st := mk()
+		p := st.Packets[0]
+		back := slices.Clone(p.Path)
+		slices.Reverse(back)
+		if queue == "retry" {
+			st.RetryQ = append(st.RetryQ, persist.RetryState{Src: p.Dst, Dst: p.Cur, Path: back, Attempts: 1})
+		} else {
+			st.Pending = append(st.Pending, persist.PendingState{Src: p.Dst, Dst: p.Cur, Path: back})
+		}
+		if _, err := Restore(g, st, Hooks{}); err == nil || !strings.Contains(err.Error(), "not a forward move") {
+			t.Errorf("%s path walked backward: restore error %v", queue, err)
+		}
+	}
+}
+
+// TestWindowHistoryBounded checks the window bound of a run without a
+// horizon: the engine keeps only its most recent maxWindows windows,
+// without touching a Result taken earlier; its snapshot holds the same
+// windows and restores to an engine that steps and snapshots
+// identically; a restored state with a longer history keeps its most
+// recent maxWindows. A run with a horizon keeps every window.
+func TestWindowHistoryBounded(t *testing.T) {
+	g, err := topo.Butterfly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extra = 10
+	e, err := NewEngine(g, Config{Seed: 2, Window: 1, Retry: RetryPolicy{MaxAttempts: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(e *Engine, i int) {
+		t.Helper()
+		if i%3 == 0 {
+			if err := e.SubmitRandom("t", 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var early Result
+	for i := 0; i < maxWindows+extra; i++ {
+		step(e, i)
+		if i == maxWindows-1 {
+			early = e.Peek()
+		}
+	}
+	w := e.Peek().Windows
+	if len(w) != maxWindows {
+		t.Fatalf("%d windows held after %d steps, want %d", len(w), maxWindows+extra, maxWindows)
+	}
+	for i, ws := range w {
+		if ws.Start != extra+i {
+			t.Fatalf("window %d starts at step %d, want %d", i, ws.Start, extra+i)
+		}
+	}
+	if len(early.Windows) != maxWindows || early.Windows[0].Start != 0 {
+		t.Fatalf("an earlier Result changed: %d windows from step %d", len(early.Windows), early.Windows[0].Start)
+	}
+	if e.Peek().Delivered == 0 {
+		t.Fatal("no deliveries; the windows carry nothing")
+	}
+
+	st, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Windows) != maxWindows {
+		t.Fatalf("snapshot holds %d windows, want %d", len(st.Windows), maxWindows)
+	}
+	r, err := Restore(g, st, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(r.Peek().Windows, w) {
+		t.Fatal("restored windows differ")
+	}
+	for i := maxWindows + extra; i < maxWindows+2*extra; i++ {
+		step(e, i)
+		step(r, i)
+	}
+	a, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ja, _ := json.Marshal(a)
+	jb, _ := json.Marshal(b)
+	if !bytes.Equal(ja, jb) {
+		t.Fatal("restored engine's snapshot diverged")
+	}
+
+	long := *a
+	long.Windows = append(slices.Clone(a.Windows[:extra]), a.Windows...)
+	r, err = Restore(g, &long, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(r.Peek().Windows, e.Peek().Windows) {
+		t.Fatal("a restored longer history was not cut to its most recent windows")
+	}
+
+	res, err := Run(g, Config{Lambda: 0.05, Steps: maxWindows + extra, Seed: 2, Window: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Windows) != maxWindows+extra {
+		t.Fatalf("a run with a horizon kept %d of its %d windows", len(res.Windows), maxWindows+extra)
 	}
 }

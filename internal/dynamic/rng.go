@@ -8,7 +8,14 @@ package dynamic
 // continues exactly where it stopped. The same generator backs
 // stats.BootstrapQuantileCI for the same reason (byte-identical
 // campaign summaries).
+//
+// Each draw adds sm64Gamma to the state and mixes the sum into the
+// output, so the state after k draws is the state plus k·sm64Gamma
+// whatever was drawn, and skip moves the stream past k draws in O(1).
 type sm64 struct{ state uint64 }
+
+// sm64Gamma is SplitMix64's state increment per draw.
+const sm64Gamma = 0x9e3779b97f4a7c15
 
 // newSM64 seeds the source. The seed passes through one mixing round so
 // small consecutive seeds (1, 2, 3…) do not yield correlated streams.
@@ -20,7 +27,7 @@ func newSM64(seed int64) *sm64 {
 
 // Uint64 implements rand.Source64.
 func (s *sm64) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
+	s.state += sm64Gamma
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -32,3 +39,6 @@ func (s *sm64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Seed implements rand.Source.
 func (s *sm64) Seed(seed int64) { *s = *newSM64(seed) }
+
+// skip advances the stream past k draws, as k calls of Uint64 would.
+func (s *sm64) skip(k int) { s.state += uint64(k) * sm64Gamma }

@@ -88,7 +88,7 @@ func (e *Engine) Snapshot() (*persist.EngineState, error) {
 		st.Packets = append(st.Packets, persist.PacketState{
 			ID: e.pID[s], Tenant: e.tenantName(e.pTenant[s]),
 			Cur: e.pCur[s], Dst: e.pDst[s],
-			Path:        edgesToWire(e.pBuf[s][e.pHead[s] : e.pHead[s]+e.pLen[s]]),
+			Path:        slotsToWire(e.pBuf[s][e.pHead[s] : e.pHead[s]+e.pLen[s]]),
 			ArrivalEdge: e.pArrEdge[s],
 			ArrivalDir:  int8(e.pArrDir[s]),
 			Inject:      e.pInject[s],
@@ -137,9 +137,10 @@ type Hooks struct {
 
 // Restore thaws an engine state into graph g. The state is re-validated
 // both structurally (persist.EngineState.Validate) and against the
-// graph: node and edge references must be in range and every packet's
-// remaining path must be a chain of incident edges starting at its
-// current node.
+// graph: node and edge references must be in range, every packet's
+// remaining path must be a chain of incident edges from its current
+// node to its destination, and every queued path a chain of forward
+// edges from its source to its destination.
 func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -184,7 +185,9 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 	e.inFlightSamples = st.InFlightSamples
 	e.lat = restoreLatReservoir(st.LatCount, st.LatSum, st.LatSamples, st.LatRNG)
 
-	for _, w := range st.Windows {
+	// A horizon-free state written before the window bound, or by
+	// hand, restores with its most recent windows only.
+	for _, w := range recentWindows(st.Windows, st.Steps) {
 		e.res.Windows = append(e.res.Windows, WindowStats{
 			Start: w.Start, Delivered: w.Delivered,
 			MeanLatency: w.MeanLatency, MeanInFlight: w.MeanInFlight,
@@ -202,7 +205,7 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 		if int(ps.Cur) >= g.NumNodes() || int(ps.Dst) >= g.NumNodes() || ps.Cur < 0 || ps.Dst < 0 {
 			return nil, fmt.Errorf("dynamic: restore: packet %d at/for unknown node", ps.ID)
 		}
-		path, err := walkable(g, ps.Cur, ps.Dst, ps.Path)
+		slots, err := walkable(g, ps.Cur, ps.Dst, ps.Path)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: restore: packet %d: %w", ps.ID, err)
 		}
@@ -217,7 +220,7 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 		e.pArrEdge[s] = ps.ArrivalEdge
 		e.pArrDir[s] = uint8(ps.ArrivalDir)
 		e.pInject[s] = ps.Inject
-		e.setPath(s, path)
+		copy(e.pathWindow(s, len(slots)), slots)
 		e.live = append(e.live, s)
 		e.parkAt(graph.NodeID(ps.Cur), s)
 	}
@@ -236,7 +239,7 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 		if int(rs.Src) >= g.NumNodes() || rs.Src < 0 || int(rs.Dst) >= g.NumNodes() || rs.Dst < 0 {
 			return nil, fmt.Errorf("dynamic: restore: retry entry %d references unknown node", i)
 		}
-		path, err := walkable(g, rs.Src, rs.Dst, rs.Path)
+		path, err := forwardPath(g, rs.Src, rs.Dst, rs.Path)
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: restore: retry entry %d: %w", i, err)
 		}
@@ -253,7 +256,7 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 				return nil, fmt.Errorf("dynamic: restore: pending entry %d references unknown node", i)
 			}
 			if len(ps.Path) > 0 {
-				path, err := walkable(g, ps.Src, ps.Dst, ps.Path)
+				path, err := forwardPath(g, ps.Src, ps.Dst, ps.Path)
 				if err != nil {
 					return nil, fmt.Errorf("dynamic: restore: pending entry %d: %w", i, err)
 				}
@@ -290,35 +293,57 @@ func edgesToWire(path []graph.EdgeID) []int32 {
 	return out
 }
 
-// walkable decodes a wire path and checks it leads from src to dst:
-// each edge incident to the node the previous one reaches. Step trusts
-// this of every path it injects or advances, so a restore that skipped
-// the check would panic a later step instead of failing here.
-func walkable(g *graph.Leveled, src, dst int32, wire []int32) ([]graph.EdgeID, error) {
-	path, err := wireToEdges(g, wire)
-	if err != nil {
-		return nil, err
+// slotsToWire writes a live path's transmission slots as the edges
+// they cross; Restore recovers each direction by walking them.
+func slotsToWire(slots []int32) []int32 {
+	out := make([]int32, len(slots))
+	for i, si := range slots {
+		out[i] = si >> 1
 	}
+	return out
+}
+
+// walkable decodes a wire path and checks it leads from src to dst:
+// each edge incident to the node the previous one reaches. It returns
+// the path as the transmission slots (edge<<1 | direction) that walk
+// takes. Step trusts this of every path it injects or advances, so a
+// restore that skipped the check would panic a later step instead of
+// failing here.
+func walkable(g *graph.Leveled, src, dst int32, wire []int32) ([]int32, error) {
+	slots := make([]int32, len(wire))
 	pos := graph.NodeID(src)
-	for hop, ed := range path {
+	for hop, w := range wire {
+		if int(w) >= g.NumEdges() || w < 0 {
+			return nil, fmt.Errorf("edge %d out of range", w)
+		}
+		ed := graph.EdgeID(w)
 		if g.Edge(ed).From != pos && g.Edge(ed).To != pos {
 			return nil, fmt.Errorf("path hop %d not incident to node %d", hop, pos)
 		}
-		pos = g.EndpointAt(ed, g.DirectionFrom(ed, pos))
+		d := g.DirectionFrom(ed, pos)
+		slots[hop] = w<<1 | int32(d)
+		pos = g.EndpointAt(ed, d)
 	}
 	if pos != graph.NodeID(dst) {
 		return nil, fmt.Errorf("path ends at %d, not its destination %d", pos, dst)
 	}
-	return path, nil
+	return slots, nil
 }
 
-func wireToEdges(g *graph.Leveled, wire []int32) ([]graph.EdgeID, error) {
-	out := make([]graph.EdgeID, len(wire))
-	for i, ed := range wire {
-		if int(ed) >= g.NumEdges() || ed < 0 {
-			return nil, fmt.Errorf("edge %d out of range", ed)
-		}
-		out[i] = graph.EdgeID(ed)
+// forwardPath decodes the wire path of a queued entry: walkable, with
+// every hop a forward move, since Step installs a queued path as
+// forward moves (SubmitPath and the path draws only queue such paths).
+func forwardPath(g *graph.Leveled, src, dst int32, wire []int32) ([]graph.EdgeID, error) {
+	slots, err := walkable(g, src, dst, wire)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	path := make([]graph.EdgeID, len(slots))
+	for hop, si := range slots {
+		if graph.Direction(si&1) != graph.Forward {
+			return nil, fmt.Errorf("path hop %d is not a forward move", hop)
+		}
+		path[hop] = graph.EdgeID(si >> 1)
+	}
+	return path, nil
 }

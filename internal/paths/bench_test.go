@@ -141,7 +141,7 @@ func BenchmarkPickDestination(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := sources[rng.Intn(len(sources))]
 				d := reach.Nth(s, rng.Intn(reach.Len(s)))
-				if buf, err = reach.AppendPath(rng, s, d, buf[:0]); err != nil {
+				if buf, err = reach.AppendPath(s, d, buf[:0]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -189,7 +189,7 @@ func TestReach(t *testing.T) {
 					if ct != full || !reach.Unique() {
 						continue
 					}
-					if got, err = reach.AppendPath(rm, s, d, nil); err != nil || !slices.Equal(got, want) {
+					if got, err = reachDraw(reach)(rm, s, d, nil); err != nil || !slices.Equal(got, want) {
 						t.Fatalf("%s: %d→%d drew %v (%v) off the matrix, RandomForwardPath %v", name, s, d, got, err, want)
 					}
 				}
@@ -209,7 +209,7 @@ func TestReach(t *testing.T) {
 		for reach.Len(src) == 0 {
 			src++
 		}
-		if _, err := reach.AppendPath(rand.New(rand.NewSource(1)), src, reach.Nth(src, 0), nil); (err == nil) != reach.Unique() {
+		if _, err := reach.AppendPath(src, reach.Nth(src, 0), nil); (err == nil) != reach.Unique() {
 			t.Fatalf("%s: matrix draw error %v on a network with Unique() = %v", g.Name(), err, reach.Unique())
 		}
 	}
@@ -251,7 +251,7 @@ func TestReachButterfly10(t *testing.T) {
 			continue
 		}
 		d := reach.Nth(s, rng.Intn(reach.Len(s)))
-		got, err := reach.AppendPath(rm, s, d, nil)
+		got, err := reachDraw(reach)(rm, s, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ func FuzzCountTable(f *testing.F) {
 				if w != 0 && w != narrowest(top) {
 					t.Fatalf("row %d (largest count %d) has width %d, want %d", dst, top, w, narrowest(top))
 				}
-				drawAll(t, g, ct, want, dst)
+				drawAll(t, g, ct.AppendPath, want, dst)
 			}
 		}
 	})
@@ -83,9 +83,21 @@ func narrowest(top int64) uint8 {
 	return 8
 }
 
-// drawer is a path source under test: a CountTable or a Reach.
-type drawer interface {
-	AppendPath(rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error)
+// drawer is a path source under test: CountTable.AppendPath, or
+// reachDraw over a Reach.
+type drawer func(rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error)
+
+// reachDraw draws through r's RNG-free walk and then advances rng by
+// one draw per hop, as the service engine does, so that the stream
+// stays where a counted draw of the same path leaves it.
+func reachDraw(r *Reach) drawer {
+	return func(rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error) {
+		p, err := r.AppendPath(src, dst, buf)
+		for range p {
+			rng.Int63()
+		}
+		return p, err
+	}
 }
 
 // drawAll draws a path to dst from every node that reaches it through
@@ -98,7 +110,7 @@ func drawAll(t *testing.T, g *graph.Leveled, d drawer, want []int64, dst graph.N
 		if s == dst || want[s] == 0 {
 			continue
 		}
-		got, err := d.AppendPath(rt, s, dst, nil)
+		got, err := d(rt, s, dst, nil)
 		if err != nil {
 			t.Fatalf("%d→%d: %v", s, dst, err)
 		}
@@ -114,8 +126,9 @@ func drawAll(t *testing.T, g *graph.Leveled, d drawer, want []int64, dst graph.N
 // FuzzReach checks the reach matrix of random leveled DAGs: Contains,
 // Len and Nth against graph.ForwardReachableFrom at every source,
 // Unique against every graph.CountForwardPaths entry being at most 1,
-// and on unique-path DAGs that matrix draws to every destination from
-// every node that reaches it give refDraw's paths and final RNG state.
+// and on unique-path DAGs that matrix walks to every destination from
+// every node that reaches it give refDraw's paths and, with the stream
+// advanced by one draw per hop, its final RNG state.
 // Sparse inputs give unique-path DAGs.
 func FuzzReach(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(40)) // unique-path
@@ -152,7 +165,7 @@ func FuzzReach(f *testing.F) {
 		}
 		if unique {
 			for d := range counts {
-				drawAll(t, g, reach, counts[d], graph.NodeID(d))
+				drawAll(t, g, reachDraw(reach), counts[d], graph.NodeID(d))
 			}
 		}
 	})

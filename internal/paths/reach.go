@@ -3,7 +3,6 @@ package paths
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 
 	"hotpotato/internal/graph"
 )
@@ -24,8 +23,11 @@ const MaxReachBytes = 128 << 20
 //
 // The sweep that builds the matrix also decides whether the network is
 // unique-path: whether every forward-path count is 0 or 1, as on a
-// butterfly or Omega network. On such a network AppendPath draws paths
-// off the matrix alone.
+// butterfly or Omega network. On such a network AppendPath walks the
+// one path off the matrix and the up-neighbour lists the sweep ran
+// over, which it keeps; the walk draws no randomness, so a caller that
+// must consume its RNG as a counted draw would (one draw per hop)
+// advances it by the path's length itself.
 type Reach struct {
 	g      *graph.Leveled
 	nn     int      // nodes: the length of a stripe
@@ -34,6 +36,17 @@ type Reach struct {
 	pre    []uint16 // pre[s*words+w]: set bits of row s before word w
 	cnt    []int32  // set bits per row
 	unique bool
+
+	// The up-neighbours of node v and the edges to them, in Node.Up
+	// order, are ups[upOff[v]:upOff[v+1]].
+	upOff []int32
+	ups   []upLink
+}
+
+// upLink is one up-edge and the node it leads to.
+type upLink struct {
+	node graph.NodeID
+	edge graph.EdgeID
 }
 
 // reachBytes is the size of the matrix over nn nodes: a word and its
@@ -70,22 +83,21 @@ func newReach(g *graph.Leveled, budget int) (*Reach, error) {
 		cnt:    make([]int32, nn),
 		unique: true,
 	}
-	// order lists the nodes below the top level from the top down, from[l]
-	// is where level l starts in it, and the up-neighbours of order[i]
-	// are ups[off[i]:off[i+1]].
+	r.upOff = make([]int32, nn+1)
+	r.ups = make([]upLink, 0, g.NumEdges())
+	for v := 0; v < nn; v++ {
+		for _, e := range g.Node(graph.NodeID(v)).Up {
+			r.ups = append(r.ups, upLink{g.EndpointAt(e, graph.Forward), e})
+		}
+		r.upOff[v+1] = int32(len(r.ups))
+	}
+	// order lists the nodes below the top level from the top down, and
+	// from[l] is where level l starts in it.
 	order := make([]graph.NodeID, 0, nn)
-	ups := make([]graph.NodeID, 0, g.NumEdges())
-	off := make([]int32, 1, nn+1)
 	from := make([]int, g.Depth())
 	for l := g.Depth() - 1; l >= 0; l-- {
 		from[l] = len(order)
-		for _, s := range g.Level(l) {
-			order = append(order, s)
-			for _, e := range g.Node(s).Up {
-				ups = append(ups, g.EndpointAt(e, graph.Forward))
-			}
-			off = append(off, int32(len(ups)))
-		}
+		order = append(order, g.Level(l)...)
 	}
 	// top[w] is the highest level of a node in word w. No node at that
 	// level or above reaches one of them, so the stripe's sweep starts
@@ -99,9 +111,10 @@ func newReach(g *graph.Leveled, budget int) (*Reach, error) {
 			continue
 		}
 		stripe := r.bits[w*nn : (w+1)*nn]
-		for i := from[top[w]-1]; i < len(order); i++ {
+		for _, s := range order[from[top[w]-1]:] {
 			var x uint64
-			for _, u := range ups[off[i]:off[i+1]] {
+			for _, l := range r.ups[r.upOff[s]:r.upOff[s+1]] {
+				u := l.node
 				y := stripe[u]
 				if int(u>>6) == w {
 					y |= 1 << (u & 63)
@@ -111,7 +124,7 @@ func newReach(g *graph.Leveled, budget int) (*Reach, error) {
 				}
 				x |= y
 			}
-			stripe[order[i]] = x
+			stripe[s] = x
 		}
 	}
 	// The prefix counts go 64 rows at a time: the block's word counts
@@ -207,35 +220,42 @@ func select64(x uint64, k int) int {
 // to buf and returns the extended slice. Each hop takes the first
 // up-neighbour u with u = dst or dst ∈ R[u]. The current node reaches
 // dst, so when no other up-neighbour does the last one must, and it is
-// taken untested. The draw calls rng.Int63n(1) per hop, consuming the
-// RNG as CountTable.AppendPath does on the same network, and draws the
-// same path. On a multi-path network it returns an error.
-func (r *Reach) AppendPath(rng *rand.Rand, src, dst graph.NodeID, buf graph.Path) (graph.Path, error) {
-	g := r.g
+// taken untested. It is the one path CountTable.AppendPath draws on the
+// same network, where every hop's choice is a draw among one; that
+// draw consumes one RNG value per hop, which this walk does not. On a
+// multi-path network it returns an error.
+func (r *Reach) AppendPath(src, dst graph.NodeID, buf graph.Path) (graph.Path, error) {
 	if !r.unique {
-		return nil, fmt.Errorf("paths: %s has node pairs joined by several forward paths; draw through a CountTable", g.Name())
-	}
-	if src == dst {
-		return nil, fmt.Errorf("paths: src == dst == %d; zero-length routing requests are not packets", src)
-	}
-	ls, ld := g.LevelOf(src), g.LevelOf(dst)
-	if ld <= ls {
-		return nil, fmt.Errorf("paths: dst level %d not above src level %d", ld, ls)
+		return nil, fmt.Errorf("paths: %s has node pairs joined by several forward paths; draw through a CountTable", r.g.Name())
 	}
 	if !r.Contains(src, dst) {
-		return nil, fmt.Errorf("paths: node %d cannot reach %d forward", src, dst)
+		return nil, r.unreachable(src, dst)
 	}
+	// Every test is against dst's bit, so one stripe holds them all.
+	w := int(dst >> 6)
+	stripe, bit := r.bits[w*r.nn:(w+1)*r.nn], dst&63
 	for cur := src; cur != dst; {
-		up := g.Node(cur).Up
-		rng.Int63n(1)
-		last := len(up) - 1
-		for i, e := range up {
-			if next := g.EndpointAt(e, graph.Forward); i == last || next == dst || r.Contains(next, dst) {
-				buf = append(buf, e)
-				cur = next
+		links := r.ups[r.upOff[cur]:r.upOff[cur+1]]
+		next := links[len(links)-1]
+		for _, l := range links[:len(links)-1] {
+			if l.node == dst || stripe[l.node]>>bit&1 != 0 {
+				next = l
 				break
 			}
 		}
+		buf = append(buf, next.edge)
+		cur = next.node
 	}
 	return buf, nil
+}
+
+// unreachable says why src does not forward-reach dst.
+func (r *Reach) unreachable(src, dst graph.NodeID) error {
+	if src == dst {
+		return fmt.Errorf("paths: src == dst == %d; zero-length routing requests are not packets", src)
+	}
+	if ls, ld := r.g.LevelOf(src), r.g.LevelOf(dst); ld <= ls {
+		return fmt.Errorf("paths: dst level %d not above src level %d", ld, ls)
+	}
+	return fmt.Errorf("paths: node %d cannot reach %d forward", src, dst)
 }

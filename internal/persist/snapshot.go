@@ -160,11 +160,15 @@ type EngineState struct {
 	// quantile summary is computed from, and LatRNG the state of its
 	// dedicated SplitMix64 stream (kept apart from the trajectory RNG so
 	// sampling never perturbs routing).
-	LatCount   int           `json:"lat_count"`
-	LatSum     float64       `json:"lat_sum"`
-	LatSamples []float64     `json:"lat_samples,omitempty"`
-	LatRNG     uint64        `json:"lat_rng"`
-	Windows    []WindowState `json:"windows,omitempty"`
+	LatCount   int       `json:"lat_count"`
+	LatSum     float64   `json:"lat_sum"`
+	LatSamples []float64 `json:"lat_samples,omitempty"`
+	LatRNG     uint64    `json:"lat_rng"`
+	// Windows are the closed windows, oldest first. An engine without
+	// a horizon (Steps == 0) writes at most its most recent 4096 and
+	// restores at most that many, dropping older ones; one with a
+	// horizon writes all of them.
+	Windows []WindowState `json:"windows,omitempty"`
 
 	// Open-window accumulators (the partial window the snapshot
 	// interrupted; the restored engine closes it on schedule).
