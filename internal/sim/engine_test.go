@@ -487,9 +487,21 @@ func wrapRecorder(inner sim.Router) (sim.Router, *recorder) {
 func fullTrace(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, faults ...sim.FaultModel) (sim.Metrics, string) {
 	tb.Helper()
 	router, rec := wrapRecorder(mk())
-	e := sim.NewEngine(p, router, seed)
+	var fm sim.FaultModel
 	for _, f := range faults {
-		e.Faults = f
+		fm = f
+	}
+	return recordedTrace(tb, p, router, rec, seed, fm)
+}
+
+// recordedTrace runs router (which reports to rec) on the problem to
+// completion under fault model fm (nil for none) and returns the
+// metrics plus the byte-exact trace.
+func recordedTrace(tb testing.TB, p *workload.Problem, router sim.Router, rec *recorder, seed int64, fm sim.FaultModel) (sim.Metrics, string) {
+	tb.Helper()
+	e := sim.NewEngine(p, router, seed)
+	if fm != nil {
+		e.Faults = fm
 	}
 	if _, done := e.Run(100000); !done {
 		tb.Fatalf("run did not complete")

@@ -37,11 +37,19 @@ var goldenSeeds = []int64{3, 42}
 
 // traceDigest runs the case and hashes the full router-visible trace
 // (every sequential callback plus the final per-packet state) together
-// with the engine metrics — the byte-exact identity of a run. An
-// optional trailing fault model runs the case under that campaign.
-func traceDigest(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, fm ...sim.FaultModel) string {
+// with the engine metrics — the byte-exact identity of a run. A nil
+// fault model runs the case unfaulted. With planned false the router
+// runs behind a recorder that hides its InjectionPlanner bound, so the
+// engine sweeps every pending packet each step instead of releasing
+// them from its schedule.
+func traceDigest(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, planned bool, fm sim.FaultModel) string {
 	tb.Helper()
-	m, tr := fullTrace(tb, p, mk, seed, fm...)
+	router, rec := wrapRecorder(mk())
+	if !planned {
+		rec = &recorder{inner: rec.inner}
+		router = rec
+	}
+	m, tr := recordedTrace(tb, p, router, rec, seed, fm)
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v\n", m)
 	h.Write([]byte(tr))
@@ -60,7 +68,9 @@ var goldenCampaign = faults.Overlay(
 
 // TestGoldenTraces pins the engine's end-to-end behavior: for a small
 // topology x router x seed matrix, the SHA-256 of the complete run
-// trace must match the recorded fixture byte for byte. Any change to
+// trace must match the recorded fixture byte for byte. Every case also
+// runs unplanned (key suffix "/unplanned"): the same router with its
+// InjectStep bound hidden, which pins the engine's full pending sweep. Any change to
 // arbitration order, deflection policy, RNG derivation, or commit
 // sequencing shows up here before it shows up in a paper figure.
 // Regenerate deliberately with:
@@ -90,27 +100,26 @@ func TestGoldenTraces(t *testing.T) {
 					faultModels["/faulted"] = goldenCampaign.Model(p.G, seed)
 				}
 				for suffix, fm := range faultModels {
-					key := fmt.Sprintf("%s/%s/seed=%d%s", pname, rname, seed, suffix)
-					fm := fm
-					t.Run(key, func(t *testing.T) {
-						var d string
-						if fm == nil {
-							d = traceDigest(t, p, mk, seed)
-						} else {
-							d = traceDigest(t, p, mk, seed, fm)
+					for _, planned := range []bool{true, false} {
+						key := fmt.Sprintf("%s/%s/seed=%d%s", pname, rname, seed, suffix)
+						if !planned {
+							key += "/unplanned"
 						}
-						got[key] = d
-						if *updateGolden {
-							return
-						}
-						w, ok := want[key]
-						if !ok {
-							t.Fatalf("no golden digest for %s (run with -update)", key)
-						}
-						if d != w {
-							t.Errorf("trace digest changed:\n got %s\nwant %s\nIf the change is intended, regenerate with -update.", d, w)
-						}
-					})
+						t.Run(key, func(t *testing.T) {
+							d := traceDigest(t, p, mk, seed, planned, fm)
+							got[key] = d
+							if *updateGolden {
+								return
+							}
+							w, ok := want[key]
+							if !ok {
+								t.Fatalf("no golden digest for %s (run with -update)", key)
+							}
+							if d != w {
+								t.Errorf("trace digest changed:\n got %s\nwant %s\nIf the change is intended, regenerate with -update.", d, w)
+							}
+						})
+					}
 				}
 			}
 		}
