@@ -7,10 +7,7 @@
 // Leighton-Maggs-Rao [17].
 package baselines
 
-import (
-	"hotpotato/internal/graph"
-	"hotpotato/internal/sim"
-)
+import "hotpotato/internal/sim"
 
 // Greedy is the plain greedy hot-potato router: every packet is
 // injected as soon as its source is free, always requests the head of
@@ -19,9 +16,7 @@ import (
 // packets retrace via the engine's path mechanics. No bound is known
 // for this router on general leveled networks; it is the empirical
 // baseline.
-type Greedy struct {
-	g *graph.Leveled
-}
+type Greedy struct{}
 
 // NewGreedy returns a fresh greedy router.
 func NewGreedy() *Greedy { return &Greedy{} }
@@ -30,7 +25,7 @@ func NewGreedy() *Greedy { return &Greedy{} }
 func (*Greedy) Name() string { return "greedy-hp" }
 
 // Init implements sim.Router.
-func (r *Greedy) Init(e *sim.Engine) { r.g = e.G }
+func (*Greedy) Init(*sim.Engine) {}
 
 // WantInject implements sim.Router: inject at the first opportunity.
 func (*Greedy) WantInject(int, *sim.Packet) bool { return true }
@@ -43,18 +38,6 @@ func (*Greedy) InjectStep(*sim.Packet) int { return 0 }
 func (r *Greedy) Request(t int, p *sim.Packet) sim.Request {
 	return headRequest(p, 0)
 }
-
-// OnDeflect implements sim.Router.
-func (*Greedy) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
-
-// OnMove implements sim.Router.
-func (*Greedy) OnMove(int, *sim.Packet) {}
-
-// OnAbsorb implements sim.Router.
-func (*Greedy) OnAbsorb(int, *sim.Packet) {}
-
-// EndStep implements sim.Router.
-func (*Greedy) EndStep(int, *sim.Engine) {}
 
 // headRequest builds the request traversing the packet's path-list head
 // away from its current node: for a valid path this is the forward move
@@ -69,9 +52,7 @@ func headRequest(p *sim.Packet, prio int64) sim.Request {
 // injected earliest wins ties, the classic starvation-free deflection
 // rule (older packets can only be deflected by even older ones, so the
 // oldest packet always advances).
-type OldestFirst struct {
-	g *graph.Leveled
-}
+type OldestFirst struct{}
 
 // NewOldestFirst returns a fresh oldest-first router.
 func NewOldestFirst() *OldestFirst { return &OldestFirst{} }
@@ -80,7 +61,7 @@ func NewOldestFirst() *OldestFirst { return &OldestFirst{} }
 func (*OldestFirst) Name() string { return "greedy-oldest" }
 
 // Init implements sim.Router.
-func (r *OldestFirst) Init(e *sim.Engine) { r.g = e.G }
+func (*OldestFirst) Init(*sim.Engine) {}
 
 // WantInject implements sim.Router.
 func (*OldestFirst) WantInject(int, *sim.Packet) bool { return true }
@@ -94,25 +75,11 @@ func (r *OldestFirst) Request(t int, p *sim.Packet) sim.Request {
 	return headRequest(p, int64(-p.InjectTime))
 }
 
-// OnDeflect implements sim.Router.
-func (*OldestFirst) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
-
-// OnMove implements sim.Router.
-func (*OldestFirst) OnMove(int, *sim.Packet) {}
-
-// OnAbsorb implements sim.Router.
-func (*OldestFirst) OnAbsorb(int, *sim.Packet) {}
-
-// EndStep implements sim.Router.
-func (*OldestFirst) EndStep(int, *sim.Engine) {}
-
 // FarthestToGo is greedy with farthest-to-go conflict resolution: the
 // packet with the longest remaining path wins ties, a classic
 // deflection-routing heuristic (cf. the greedy potential-function
 // analyses of Ben-Dor, Halevi and Schuster [5]).
-type FarthestToGo struct {
-	g *graph.Leveled
-}
+type FarthestToGo struct{}
 
 // NewFarthestToGo returns a fresh farthest-to-go router.
 func NewFarthestToGo() *FarthestToGo { return &FarthestToGo{} }
@@ -121,7 +88,7 @@ func NewFarthestToGo() *FarthestToGo { return &FarthestToGo{} }
 func (*FarthestToGo) Name() string { return "greedy-ftg" }
 
 // Init implements sim.Router.
-func (r *FarthestToGo) Init(e *sim.Engine) { r.g = e.G }
+func (*FarthestToGo) Init(*sim.Engine) {}
 
 // WantInject implements sim.Router.
 func (*FarthestToGo) WantInject(int, *sim.Packet) bool { return true }
@@ -133,15 +100,3 @@ func (*FarthestToGo) InjectStep(*sim.Packet) int { return 0 }
 func (r *FarthestToGo) Request(t int, p *sim.Packet) sim.Request {
 	return headRequest(p, int64(len(p.PathList)))
 }
-
-// OnDeflect implements sim.Router.
-func (*FarthestToGo) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
-
-// OnMove implements sim.Router.
-func (*FarthestToGo) OnMove(int, *sim.Packet) {}
-
-// OnAbsorb implements sim.Router.
-func (*FarthestToGo) OnAbsorb(int, *sim.Packet) {}
-
-// EndStep implements sim.Router.
-func (*FarthestToGo) EndStep(int, *sim.Engine) {}

@@ -26,7 +26,6 @@ type RandGreedy struct {
 	// Q is the per-step excitation probability (default 0.05 if 0).
 	Q float64
 
-	g       *graph.Leveled
 	rng     *rand.Rand
 	excited []bool
 	// Excitations counts state promotions, for reporting.
@@ -48,7 +47,6 @@ func (*RandGreedy) Name() string { return "rand-greedy-hp" }
 
 // Init implements sim.Router.
 func (r *RandGreedy) Init(e *sim.Engine) {
-	r.g = e.G
 	r.rng = e.Rng
 	r.excited = make([]bool, len(e.Packets))
 }
@@ -72,16 +70,16 @@ func (r *RandGreedy) Request(t int, p *sim.Packet) sim.Request {
 	return headRequest(p, prio)
 }
 
-// OnDeflect implements sim.Router: deflection demotes to normal.
+// OnDeflect implements sim.Notifier: deflection demotes to normal.
 func (r *RandGreedy) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, kind sim.DeflectKind) {
 	r.excited[p.ID] = false
 }
 
-// OnMove implements sim.Router.
+// OnMove implements sim.Notifier.
 func (*RandGreedy) OnMove(int, *sim.Packet) {}
 
-// OnAbsorb implements sim.Router.
+// OnAbsorb implements sim.Notifier.
 func (*RandGreedy) OnAbsorb(int, *sim.Packet) {}
 
-// EndStep implements sim.Router.
+// EndStep implements sim.Notifier.
 func (*RandGreedy) EndStep(int, *sim.Engine) {}

@@ -216,12 +216,12 @@ func TestCompare(t *testing.T) {
 var allocSink []byte
 
 // allocatingGreedy is the mutation the strict-alloc gate must catch:
-// greedy routing that allocates once per step.
+// greedy routing that allocates once per request.
 type allocatingGreedy struct{ *baselines.Greedy }
 
-func (a allocatingGreedy) EndStep(t int, e *sim.Engine) {
+func (a allocatingGreedy) Request(t int, p *sim.Packet) sim.Request {
 	allocSink = make([]byte, 16)
-	a.Greedy.EndStep(t, e)
+	return a.Greedy.Request(t, p)
 }
 
 func TestCheckStrictAllocs(t *testing.T) {

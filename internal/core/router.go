@@ -354,7 +354,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 	return sim.Request{Edge: p.PathList[0], Dir: p.HeadDir, Priority: prio}
 }
 
-// OnDeflect implements sim.Router: a deflected excited packet reverts
+// OnDeflect implements sim.Notifier: a deflected excited packet reverts
 // to normal; a deflected wait packet is interrupted and reverts to
 // normal (Section 3).
 func (r *Frame) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, kind sim.DeflectKind) {
@@ -375,10 +375,10 @@ func (r *Frame) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, kind sim.Deflect
 	r.st[id] = stateNormal
 }
 
-// OnMove implements sim.Router.
+// OnMove implements sim.Notifier.
 func (r *Frame) OnMove(int, *sim.Packet) {}
 
-// OnAbsorb implements sim.Router.
+// OnAbsorb implements sim.Notifier.
 func (r *Frame) OnAbsorb(t int, p *sim.Packet) {
 	if r.Events != nil {
 		r.flushEvents(t, p.ID)
@@ -393,7 +393,7 @@ func (r *Frame) OnAbsorb(t int, p *sim.Packet) {
 	r.st[p.ID] = stateNormal
 }
 
-// EndStep implements sim.Router: at the end of each round excited
+// EndStep implements sim.Notifier: at the end of each round excited
 // packets become normal; at the end of each phase wait packets become
 // normal (Section 3). On a step with no active and no pending packet it
 // is a no-op, as sim.InjectionPlanner requires: every effect but the

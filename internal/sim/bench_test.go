@@ -139,3 +139,46 @@ func TestSparseActivityStaysSparse(t *testing.T) {
 		t.Errorf("MaxInFlight = %d, want <= %d (5%% of N=%d)", e.M.MaxInFlight, limit, p.N())
 	}
 }
+
+// hotSpotCorpus is the greedy-hotspot benchmark's corpus: butterfly(10)
+// and the first five hot-spot problems drawn from seed 1, each 1024
+// packets from distinct sources to 8 top-level spots, so congestion
+// (about 84 to 144) far exceeds the depth of 10.
+func hotSpotCorpus(tb testing.TB) []*workload.Problem {
+	tb.Helper()
+	g, err := topo.Butterfly(10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	ps := make([]*workload.Problem, 5)
+	for i := range ps {
+		if ps[i], err = workload.HotSpot(g, rng, 1024, 8); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return ps
+}
+
+// BenchmarkGreedyHotSpot times the contended step: one op is a Reset
+// and a Run of greedy hot-potato routing on the next corpus problem,
+// cycling through the corpus with a fresh seed per op. Arbitration and
+// deflection dominate: about 40% of a run's moves are deflections. A
+// warmed engine allocates nothing.
+func BenchmarkGreedyHotSpot(b *testing.B) {
+	ps := hotSpotCorpus(b)
+	engines := make([]*sim.Engine, len(ps))
+	for i, p := range ps {
+		engines[i] = sim.NewEngine(p, baselines.NewGreedy(), 0)
+		engines[i].Run(1 << 20)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := engines[i%len(engines)]
+		e.Reset(int64(i))
+		if _, done := e.Run(1 << 20); !done {
+			b.Fatalf("op %d: run did not complete", i)
+		}
+	}
+}

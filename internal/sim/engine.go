@@ -11,8 +11,9 @@ import (
 
 // Router is a hot-potato routing algorithm driven by the Engine. The
 // engine owns packet motion, conflict resolution and deflection; the
-// router owns injection timing, per-packet requests (edge + priority)
-// and its own state machine, advanced through the On* notifications.
+// router owns injection timing and per-packet requests (edge +
+// priority). A router whose state follows the step's outcomes also
+// implements Notifier.
 type Router interface {
 	// Name identifies the algorithm in reports.
 	Name() string
@@ -31,7 +32,14 @@ type Router interface {
 	// Request returns the desired traversal for active packet p at
 	// step t. The returned edge must leave p.Cur.
 	Request(t int, p *Packet) Request
+}
 
+// Notifier is an optional Router extension that hears each step's
+// outcomes: routers with a per-packet state machine (the frame
+// router's excited and wait states, RandGreedy's demotion) advance it
+// here. NewEngine resolves it once; a router without it costs no call
+// per move, deflection or step.
+type Notifier interface {
 	// OnDeflect tells the router that p lost its request and was
 	// deflected along edge e (kind classifies the slot).
 	OnDeflect(t int, p *Packet, e graph.EdgeID, kind DeflectKind)
@@ -42,7 +50,8 @@ type Router interface {
 	// OnAbsorb tells the router that p reached its destination.
 	OnAbsorb(t int, p *Packet)
 
-	// EndStep is called after every step commits.
+	// EndStep is called after every executed step commits, after the
+	// probe and the observers.
 	EndStep(t int, e *Engine)
 }
 
@@ -67,9 +76,9 @@ type Router interface {
 // InjectStep is called once per packet per run, on the stepping
 // goroutine, after Router.Init.
 //
-// A planner's EndStep must also be a no-op on a step with no active and
-// no pending packet: Engine.Run relies on it to fast-forward over such
-// steps without calling the router at all.
+// A planner that is also a Notifier must make EndStep a no-op on a step
+// with no active and no pending packet: Engine.Run relies on it to
+// fast-forward over such steps without calling the router at all.
 type InjectionPlanner interface {
 	Router
 	// InjectStep returns the earliest step at which WantInject may
@@ -79,7 +88,7 @@ type InjectionPlanner interface {
 }
 
 // Observer is a read-only per-step hook (tracing, invariant checking).
-// It runs after the step commits, before Router.EndStep. An attached
+// It runs after the step commits, before Notifier.EndStep. An attached
 // observer sees every step: it turns off Run's idle fast-forward.
 type Observer func(t int, e *Engine)
 
@@ -129,9 +138,8 @@ func (m *Metrics) UnsafeDeflections() int {
 // engine spending its time routing and spending it skipping absorbed
 // packets. The hot path is also allocation-free in steady state: slot
 // scratch, loser buffers, occupancy lists and forward-memory dirty
-// lists are all reused, and PathList backing arrays are pre-carved from
-// one arena and recycled through a pool across absorptions and
-// injections.
+// lists are all reused, and every packet's PathList lives in its own
+// segment of one path arena carved at construction.
 //
 // An Engine steps on the calling goroutine and is not safe for
 // concurrent use; independent runs parallelize across engines (see
@@ -150,6 +158,7 @@ type Engine struct {
 	Faults FaultModel
 
 	router    Router
+	notify    Notifier // router's Notifier, nil when it has none
 	observers []Observer
 	now       int
 	seed      int64
@@ -181,16 +190,14 @@ type Engine struct {
 	// sortRelease); injCursor is the next unreleased entry.
 	// Released packets merge into the ID-ordered pending list through
 	// mergeBuf, so the admission sweep and all occupancy interactions
-	// are byte-identical to the legacy full sweep — the queue only
-	// determines when a packet first appears in the sweep. legacyInject
-	// (test hook, see SetLegacyInjectForTest) disables the queue and
-	// restores the full pending sweep for differential testing.
-	planner      InjectionPlanner
-	injSchedule  []uint64
-	injSpare     []uint64
-	injCursor    int
-	mergeBuf     []PacketID
-	legacyInject bool
+	// are byte-identical to a router without the bound, which keeps
+	// every packet in the sweep from step 0 — the queue only determines
+	// when a packet first appears in the sweep.
+	planner     InjectionPlanner
+	injSchedule []uint64
+	injSpare    []uint64
+	injCursor   int
+	mergeBuf    []PacketID
 
 	// Per-node occupancy in flat SoA form: node v's active packets are
 	// atList[atOff[v] : atOff[v]+atN[v]], where each node owns a
@@ -202,12 +209,15 @@ type Engine struct {
 	// headers (24 bytes/node) made every touch a cold miss. occupied
 	// lists the nodes v with atN[v] > 0, each exactly once; occBits
 	// mirrors atN[v] > 0 as a bitset so the injection-isolation probe
-	// costs one L1-resident bit test.
+	// costs one L1-resident bit test. occLo/occHi bound the occupied
+	// node IDs (see clearOccupancy).
 	atOff    []int32
 	atN      []uint16
 	atList   []PacketID
 	occupied []graph.NodeID
 	occBits  []uint64
+	occLo    int32
+	occHi    int32
 
 	// Forward-traversal memory as per-edge bitsets: bit e of prevFwdBits
 	// is set iff some packet traversed edge e forward during the
@@ -221,25 +231,11 @@ type Engine struct {
 	prevTouched []graph.EdgeID
 	curTouched  []graph.EdgeID
 
-	// Per-level active-packet census, maintained incrementally (O(1)
-	// per injection/move/absorption): lvlOf mirrors each active packet's
-	// current level, levelCount the number of active packets per level,
-	// and winLo/winHi bound the non-empty level band (kept stale-wide,
-	// trimmed at read — see Window). The frame schedule guarantees the
-	// band is narrow, so consumers can skip the provably idle levels of
-	// a deep network entirely. lvlNodeLo/lvlNodeHi are the (immutable)
-	// node-ID bounds of each level, giving Window() a node-ID range for
-	// the wide occupancy clears (clearOccupancy). snapLo/snapHi remember
-	// the window last written into the probe snapshot's census so the
-	// next fill zeroes only that band, not the whole depth.
-	lvlOf      []int16
-	levelCount []int32
-	winLo      int
-	winHi      int
-	lvlNodeLo  []int32
-	lvlNodeHi  []int32
-	snapLo     int
-	snapHi     int
+	// snapLo/snapHi remember the level band last written into the
+	// probe snapshot's census, so the next fill zeroes only that band,
+	// not the whole depth.
+	snapLo int
+	snapHi int
 
 	// Scratch reused across steps. Slots are indexed 2*edge+direction,
 	// but slot state is never stored per slot: a slot's contenders all
@@ -251,12 +247,12 @@ type Engine struct {
 	// collectRequest (in active order, i.e. near-sequentially) and read
 	// back per node; moves carries each packet's committed traversal,
 	// stamped with the step epoch (the epoch survives Reset so the array
-	// never needs rewinding).
+	// never needs rewinding). A packet whose move is stamped this epoch
+	// has a slot; one whose stamped slot is its request won it.
 	epoch   uint32
 	reqSlot []int32   // indexed by PacketID; blockedSlot when fault-blocked
 	reqPrio []int64   // indexed by PacketID
 	moves   []moveRec // indexed by PacketID
-	granted []bool
 
 	// usedBuf is resolveNode's claimed-slot list for one node (winners
 	// plus deflections), loserBuf deflectLosers' loser list; both are
@@ -266,38 +262,23 @@ type Engine struct {
 	loserBuf []PacketID
 	excited  int
 
-	// pathPool holds PathList backing arrays — pre-carved from a single
-	// arena at construction and surrendered by absorbed packets — so
-	// injection never allocates, not even during the startup transient.
-	// A live packet's PathList is a window into its borrowed segment
-	// (pathBase), positioned at pathHead: the path is injected at the
-	// segment's tail so that pops advance the window head and prepends
-	// retreat it, both O(1) re-slices where shifting in place cost a
-	// memmove of the remaining path on every single move. A prepend that
-	// exhausts the front slack repacks the segment (repackPath), which
-	// under the paper's preconditions never happens after the injection
-	// headroom is spent.
-	pathPool [][]graph.EdgeID
-	pathBase [][]graph.EdgeID
-	pathHead []int32
-
-	// On-path move acceleration. preNodes holds each packet's
-	// preselected node sequence (row i at [i*preUnit, ...], one node per
-	// path position); while a packet is on its preselected path
-	// (offPath == 0, meaning PathList == Preselected[preIdx:]), the
-	// destination of a head pop is preNodes[preIdx+1] — a sequential
-	// per-packet read — and the head direction is Forward, so the common
-	// case touches the scattered edge-endpoint array not at all.
-	// offPath counts prepended (deflection/oscillation) entries at the
-	// window front; retraceDirs stacks their head directions one bit
-	// each, and retraceDeep marks stacks that overflowed 64 entries,
-	// falling back to a graph lookup until the stack drains.
-	preNodes    []graph.NodeID
-	preUnit     int
-	preIdx      []int32
-	offPath     []int32
-	retraceDirs []uint64
-	retraceDeep []bool
+	// Path arena. Packet i owns the segment [pathLo[i], ...) of two
+	// parallel columns: pathEdges, which its PathList windows, and
+	// pathSlots, which holds each entry's traversal slot (edge<<1|dir,
+	// the direction in which the entry leaves the node before it). The
+	// window sits at the segment's tail, its head at offset pathHead[i]:
+	// a pop advances the head and reads the new HeadDir from the slot
+	// column, a prepend retreats it and writes the reverse of the
+	// traversal's slot. Home segments, pathUnit entries each, are carved
+	// at construction at the longest preselected path plus headroom; a
+	// packet whose prepends outrun its pops past that headroom moves to
+	// a larger segment past pathEnd (growPath), which Reset reclaims.
+	pathEdges []graph.EdgeID
+	pathSlots []int32
+	pathLo    []int32
+	pathHead  []int32
+	pathUnit  int
+	pathEnd   int
 }
 
 // stallSlot marks a packet that holds in place for one step because a
@@ -420,32 +401,6 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 	e.occupied = make([]graph.NodeID, 0, min(p.N(), p.G.NumNodes()))
 	e.curTouched = make([]graph.EdgeID, 0, min(p.N(), p.G.NumEdges()))
 	e.prevTouched = make([]graph.EdgeID, 0, min(p.N(), p.G.NumEdges()))
-	if p.G.Depth() >= 1<<15 {
-		panic("sim: graph depth exceeds the engine's int16 level mirror")
-	}
-	e.lvlOf = make([]int16, p.N())
-	e.levelCount = make([]int32, p.G.Depth()+1)
-	// Per-level node-ID bounds for the wide occupancy clears: every
-	// occupied node sits at a level inside the active window, so zeroing
-	// the count arena over [min lvlNodeLo, max lvlNodeHi] of the window's
-	// levels covers every dirty count (plus already-zero ones, which a
-	// memclr absorbs for free). Topology builders emit nodes level by
-	// level, making the ranges tight in practice, but correctness only
-	// needs them to cover.
-	e.lvlNodeLo = make([]int32, p.G.Depth()+1)
-	e.lvlNodeHi = make([]int32, p.G.Depth()+1)
-	for l := 0; l <= p.G.Depth(); l++ {
-		lo, hi := int32(p.G.NumNodes()), int32(-1)
-		for _, v := range p.G.Level(l) {
-			if int32(v) < lo {
-				lo = int32(v)
-			}
-			if int32(v) > hi {
-				hi = int32(v)
-			}
-		}
-		e.lvlNodeLo[l], e.lvlNodeHi[l] = lo, hi
-	}
 	e.Packets = make([]Packet, p.N())
 	e.pending = make([]PacketID, 0, p.N())
 	if _, ok := r.(InjectionPlanner); ok {
@@ -464,53 +419,35 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 			pk.Src, pk.Dst = p.G.PathSource(path), p.G.PathDest(path)
 		}
 	}
-	// Pre-carve PathList backing from one arena, sized at the longest
-	// preselected path plus prepend headroom, so the injection wave
-	// allocates nothing (previously the first borrow of every packet
-	// was a fresh allocation — ~N allocs charged to the startup
-	// transient; see BENCH_engine.json history).
+	// Carve every packet's path segment from one arena, sized at the
+	// longest preselected path plus prepend headroom, so injection
+	// allocates nothing.
 	maxLen := 0
-	for _, path := range p.Set.Paths {
-		if len(path) > maxLen {
-			maxLen = len(path)
-		}
-	}
-	unit := maxLen + 8
-	arena := make([]graph.EdgeID, p.N()*unit)
-	e.pathPool = make([][]graph.EdgeID, 0, p.N())
-	for i := 0; i < p.N(); i++ {
-		e.pathPool = append(e.pathPool, arena[i*unit:i*unit:(i+1)*unit])
-	}
-	e.preUnit = maxLen + 1
-	e.preNodes = make([]graph.NodeID, p.N()*e.preUnit)
-	e.preIdx = make([]int32, p.N())
-	e.offPath = make([]int32, p.N())
-	e.retraceDirs = make([]uint64, p.N())
-	e.retraceDeep = make([]bool, p.N())
 	for i, path := range p.Set.Paths {
+		maxLen = max(maxLen, len(path))
 		if len(path) == 0 {
 			continue
 		}
 		v := p.G.PathSource(path)
-		row := e.preNodes[i*e.preUnit:]
-		row[0] = v
-		for j, ed := range path {
+		for _, ed := range path {
 			if p.G.DirectionFrom(ed, v) != graph.Forward {
 				panic(fmt.Sprintf("sim: packet %d: preselected path edge %d is not forward", i, ed))
 			}
 			v = p.G.EndpointAt(ed, graph.Forward)
-			row[j+1] = v
 		}
 	}
-	e.pathBase = make([][]graph.EdgeID, p.N())
+	e.pathUnit = maxLen + 8
+	e.pathEdges = make([]graph.EdgeID, p.N()*e.pathUnit)
+	e.pathSlots = make([]int32, len(e.pathEdges))
+	e.pathLo = make([]int32, p.N())
 	e.pathHead = make([]int32, p.N())
-	e.granted = make([]bool, p.N())
+	e.notify, _ = r.(Notifier)
 	e.Reset(seed)
 	return e
 }
 
 // Reset rewinds the engine to step 0 with a new seed, reusing every
-// allocation: the flat occupancy backing, the path-arena pool and slot
+// allocation: the flat occupancy backing, the path arena and slot
 // scratch all survive, so a
 // Monte-Carlo worker can run thousands of trials on one engine without
 // rebuilding it (see mc.Run). Observers are per-run attachments and are
@@ -545,16 +482,10 @@ func (e *Engine) Reset(seed int64) {
 	e.occupied = e.occupied[:0]
 	e.active = e.active[:0]
 	e.pending = e.pending[:0]
-	for l := e.winLo; l <= e.winHi && l < len(e.levelCount); l++ {
-		e.levelCount[l] = 0
-	}
-	e.winLo, e.winHi = len(e.levelCount), -1
+	e.pathEnd = len(e.Packets) * e.pathUnit
 	for i := range e.Packets {
 		p := &e.Packets[i]
-		if e.pathBase[i] != nil {
-			e.pathPool = append(e.pathPool, e.pathBase[i][:0])
-			e.pathBase[i] = nil
-		}
+		e.pathLo[i] = int32(i * e.pathUnit)
 		*p = Packet{
 			ID:          PacketID(i),
 			Cur:         graph.NoNode,
@@ -592,7 +523,7 @@ func (e *Engine) Reset(seed int64) {
 	e.planner = nil
 	e.injSchedule = e.injSchedule[:0]
 	e.injCursor = 0
-	if pl, ok := e.router.(InjectionPlanner); ok && !e.legacyInject {
+	if pl, ok := e.router.(InjectionPlanner); ok {
 		e.planner = pl
 		for _, pid := range e.pending {
 			e.injSchedule = append(e.injSchedule, injPack(pl.InjectStep(&e.Packets[pid]), pid))
@@ -626,27 +557,22 @@ func (e *Engine) InFlight() int { return len(e.active) }
 // packets.
 func (e *Engine) Active() []PacketID { return e.active }
 
-// LevelPopulation returns the number of active packets currently at
-// level l, maintained incrementally (O(1) per packet event).
-func (e *Engine) LevelPopulation(l int) int { return int(e.levelCount[l]) }
-
 // Window returns the active level band: the smallest [lo, hi] such that
 // every in-flight packet sits at a level in [lo, hi]. With no packets in
-// flight it returns (0, -1). The band is maintained stale-wide during a
-// step and trimmed lazily here; under the frame schedule it tracks the
+// flight it returns (0, -1). It recounts the active list on each call
+// (O(in flight)); under the frame schedule the band tracks the
 // frontier, so observers can skip the provably empty levels of a deep
 // network (see core.Schedule.ActiveBand for the schedule-side bound).
 func (e *Engine) Window() (lo, hi int) {
-	for e.winLo <= e.winHi && e.levelCount[e.winLo] == 0 {
-		e.winLo++
-	}
-	for e.winHi >= e.winLo && e.levelCount[e.winHi] == 0 {
-		e.winHi--
-	}
-	if e.winLo > e.winHi {
+	if len(e.active) == 0 {
 		return 0, -1
 	}
-	return e.winLo, e.winHi
+	lo, hi = e.G.Depth(), 0
+	for _, pid := range e.active {
+		l := e.G.LevelOf(e.Packets[pid].Cur)
+		lo, hi = min(lo, l), max(hi, l)
+	}
+	return lo, hi
 }
 
 // AddObserver registers a per-step hook.
@@ -668,7 +594,7 @@ func (e *Engine) Done() bool {
 // the clock (Now and M.Steps) to min(next release, maxSteps) in O(1)
 // instead of executing each empty Step. The trace is unchanged: an
 // empty step reads no randomness, no fault model and no occupancy, and
-// the planner contract makes its EndStep a no-op. Step itself always
+// the planner contract makes its EndStep (if any) a no-op. Step itself always
 // executes exactly one step.
 func (e *Engine) Run(maxSteps int) (int, bool) {
 	for e.now < maxSteps && !e.Done() {
@@ -700,101 +626,88 @@ func (e *Engine) idleUntil(maxSteps int) int {
 }
 
 // clearOccupancy zeroes the occupancy counts and bits of every
-// occupied node. Two strategies, picked per call: when the active
-// window's node-ID range is not much wider than the occupied count,
-// one memclr over the 2-byte count arena (and the covering occBits
-// words) clears the whole band at cache-line width — 32 counts per
-// line, no scattered read-modify-write — which is how a dense window
-// beats the per-node walk; otherwise (sparse occupancy across a wide
-// band) the scattered per-node clear touches exactly the dirty
-// entries. Correctness of the wide path needs only the containment
-// invariant: every occupied node sits at a level inside Window(), so
-// the covering node range includes every nonzero count and every set
-// occupancy bit — zeroing the already-zero remainder is free.
+// occupied node. Two strategies, picked per call: when the occupied
+// node-ID range (occLo..occHi, tracked by addAt) is not much wider than
+// the occupied count, one memclr over the 2-byte count arena (and the
+// covering occBits words) clears the whole range at cache-line width —
+// 32 counts per line, no scattered read-modify-write — which is how a
+// dense window beats the per-node walk; otherwise (sparse occupancy
+// across a wide range) the scattered per-node clear touches exactly the
+// dirty entries. Nodes outside the range hold no packet, so zeroing the
+// already-zero remainder is free.
 func (e *Engine) clearOccupancy() {
-	n := len(e.occupied)
-	if n == 0 {
-		return
-	}
-	lo, hi := e.Window()
-	if hi >= lo {
-		n0, n1 := int32(len(e.atN)), int32(-1)
-		for l := lo; l <= hi; l++ {
-			if e.lvlNodeLo[l] < n0 {
-				n0 = e.lvlNodeLo[l]
-			}
-			if e.lvlNodeHi[l] > n1 {
-				n1 = e.lvlNodeHi[l]
-			}
-		}
-		// Wide when the band costs at most ~16 cleared bytes per
-		// occupied node (2-byte counts, 8:1 range:occupied ratio) —
-		// below the cost of a scattered store pair per node.
-		if n1 >= n0 && int(n1-n0)+1 <= 8*n {
-			clear(e.atN[n0 : n1+1])
-			clear(e.occBits[n0>>6 : n1>>6+1])
-			return
+	// Wide when the range costs at most ~16 cleared bytes per occupied
+	// node (2-byte counts, 8:1 range:occupied ratio) — below the cost
+	// of a scattered store pair per node.
+	if n := len(e.occupied); n > 0 && int(e.occHi-e.occLo)+1 <= 8*n {
+		clear(e.atN[e.occLo : e.occHi+1])
+		clear(e.occBits[e.occLo>>6 : e.occHi>>6+1])
+	} else {
+		for _, v := range e.occupied {
+			e.atN[v] = 0
+			bitClear(e.occBits, int32(v))
 		}
 	}
-	for _, v := range e.occupied {
-		e.atN[v] = 0
-		bitClear(e.occBits, int32(v))
-	}
+	e.occLo, e.occHi = int32(len(e.atN)), -1
 }
 
 // addAt places an active packet at node v, keeping the occupied-node
-// list consistent.
+// list and its ID range consistent.
 func (e *Engine) addAt(v graph.NodeID, pid PacketID) {
 	n := e.atN[v]
 	if n == 0 {
 		e.occupied = append(e.occupied, v)
 		bitSet(e.occBits, int32(v))
+		e.occLo, e.occHi = min(e.occLo, int32(v)), max(e.occHi, int32(v))
 	}
 	e.atList[e.atOff[v]+int32(n)] = pid
 	e.atN[v] = n + 1
 }
 
-// borrowPath installs a copy of pre as packet pid's path list, borrowing
-// a segment pooled from the arena / an absorbed packet. The copy lands
-// at the segment's tail so all slack sits in front of the window, where
-// prepends (deflections) consume it and pops (forward moves) add to it.
-func (e *Engine) borrowPath(pid PacketID, pre graph.Path) {
-	buf := e.pathBase[pid]
-	if buf == nil {
-		if n := len(e.pathPool); n > 0 {
-			buf = e.pathPool[n-1]
-			e.pathPool = e.pathPool[:n-1]
-		} else {
-			buf = make([]graph.EdgeID, 0, len(pre)+8)
-		}
+// placePath writes pre into packet pid's home segment as its path
+// list, at the segment's tail so all slack sits in front of the window,
+// where prepends (deflections) consume it and pops (forward moves) add
+// to it. Every preselected entry leaves its node forward.
+func (e *Engine) placePath(pid PacketID, pre graph.Path) {
+	lo := int(pid) * e.pathUnit
+	h := lo + e.pathUnit - len(pre)
+	copy(e.pathEdges[h:], pre)
+	for i, ed := range pre {
+		e.pathSlots[h+i] = slotIndex(ed, graph.Forward)
 	}
-	full := buf[:cap(buf)]
-	h := len(full) - len(pre)
-	copy(full[h:], pre)
-	e.pathBase[pid] = buf
-	e.pathHead[pid] = int32(h)
-	e.Packets[pid].PathList = full[h:]
+	e.pathLo[pid], e.pathHead[pid] = int32(lo), int32(h)
+	e.Packets[pid].PathList = e.pathEdges[h : lo+e.pathUnit]
 }
 
-// repackPath restores front slack for a packet whose prepends have
-// consumed the window's headroom: the path is shifted to the segment's
-// tail (growing the segment first if the window already fills it) and
-// the new head offset is returned. Prepends outnumbering pops by more
-// than the injection headroom requires a sustained deflection storm, so
-// this is effectively cold.
-func (e *Engine) repackPath(p *Packet) int32 {
-	base := e.pathBase[p.ID]
+// growPath moves packet p's path list, whose prepends have consumed its
+// segment's front slack, to a fresh segment of twice its length past
+// pathEnd, growing the arena — and re-pointing every live window into
+// it — when the arena is full. Prepends outnumbering pops by more than
+// the injection headroom take a sustained deflection storm, so this is
+// the cold path.
+func (e *Engine) growPath(p *Packet) {
 	n := len(p.PathList)
-	if n >= cap(base) {
-		base = make([]graph.EdgeID, 0, 2*cap(base)+8)
+	size := 2*n + 8
+	if e.pathEnd+size > len(e.pathEdges) {
+		edges := make([]graph.EdgeID, len(e.pathEdges)+len(e.pathEdges)/4+size)
+		slots := make([]int32, len(edges))
+		copy(edges, e.pathEdges[:e.pathEnd])
+		copy(slots, e.pathSlots[:e.pathEnd])
+		e.pathEdges, e.pathSlots = edges, slots
+		for i := range e.Packets {
+			if q := &e.Packets[i]; q.Active {
+				h := int(e.pathHead[i])
+				q.PathList = edges[h : h+len(q.PathList)]
+			}
+		}
 	}
-	full := base[:cap(base)]
-	h := len(full) - n
-	copy(full[h:], p.PathList)
-	e.pathBase[p.ID] = base
-	e.pathHead[p.ID] = int32(h)
-	p.PathList = full[h:]
-	return int32(h)
+	old, lo := int(e.pathHead[p.ID]), e.pathEnd
+	h := lo + size - n
+	copy(e.pathEdges[h:], e.pathEdges[old:old+n])
+	copy(e.pathSlots[h:], e.pathSlots[old:old+n])
+	e.pathEnd += size
+	e.pathLo[p.ID], e.pathHead[p.ID] = int32(lo), int32(h)
+	p.PathList = e.pathEdges[h : h+n]
 }
 
 // Step executes one synchronous time step.
@@ -874,24 +787,11 @@ func (e *Engine) Step() {
 			p.Active = true
 			p.Cur = p.Src
 			p.InjectTime = t
-			e.borrowPath(pid, p.Preselected)
+			e.placePath(pid, p.Preselected)
 			p.ArrivalEdge = graph.NoEdge
 			p.HeadDir = graph.Forward
-			e.preIdx[pid] = 0
-			e.offPath[pid] = 0
-			e.retraceDirs[pid] = 0
-			e.retraceDeep[pid] = false
 			e.addAt(p.Src, pid)
 			e.active = append(e.active, pid)
-			lvl := int16(e.G.LevelOf(p.Src))
-			e.lvlOf[pid] = lvl
-			e.levelCount[lvl]++
-			if int(lvl) < e.winLo {
-				e.winLo = int(lvl)
-			}
-			if int(lvl) > e.winHi {
-				e.winHi = int(lvl)
-			}
 			e.M.Injected++
 			if e.events != nil {
 				e.events.RecordEvent(t, pid, EventInject, int32(p.Src))
@@ -959,7 +859,9 @@ func (e *Engine) Step() {
 	for _, o := range e.observers {
 		o(t, e)
 	}
-	e.router.EndStep(t, e)
+	if e.notify != nil {
+		e.notify.EndStep(t, e)
+	}
 }
 
 // collectRequest gathers one packet's request into the flat per-packet
@@ -981,7 +883,6 @@ func (e *Engine) collectRequest(t int, pid PacketID) {
 			panic(fmt.Sprintf("sim: step %d: %v", t, e.checkRequest(p, req)))
 		}
 	}
-	e.granted[pid] = false
 	if e.probe != nil && req.Priority >= ExcitedPriority {
 		e.excited++
 	}
@@ -1011,7 +912,6 @@ func (e *Engine) resolveNode(t int, v graph.NodeID) {
 		// no contention, its request granted unless fault-blocked.
 		pid := occ[0]
 		if s := e.reqSlot[pid]; s != blockedSlot {
-			e.granted[pid] = true
 			e.moves[pid] = moveRec{epoch: e.epoch, slot: s}
 			return
 		}
@@ -1038,8 +938,8 @@ func (e *Engine) resolveNode(t int, v graph.NodeID) {
 			continue
 		}
 		w, wp := pid, e.reqPrio[pid]
-		var wk uint64
-		keyed := false
+		var sk, wk uint64 // slot word and winner key, once keyed
+		keyed, slotKeyed := false, false
 		for _, q := range occ[i+1:] {
 			if e.reqSlot[q] != s {
 				continue
@@ -1048,16 +948,17 @@ func (e *Engine) resolveNode(t int, v graph.NodeID) {
 			case qp > wp:
 				w, wp, keyed = q, qp, false
 			case qp == wp:
-				if !keyed {
-					wk = arbKey(e.arbSeed, t, s, w)
-					keyed = true
+				if !slotKeyed {
+					sk, slotKeyed = arbSlot(e.arbSeed, t, s), true
 				}
-				if qk := arbKey(e.arbSeed, t, s, q); qk > wk || (qk == wk && q > w) {
+				if !keyed {
+					wk, keyed = arbDraw(sk, w), true
+				}
+				if qk := arbDraw(sk, q); qk > wk || (qk == wk && q > w) {
 					w, wk = q, qk
 				}
 			}
 		}
-		e.granted[w] = true
 		e.moves[w] = moveRec{epoch: e.epoch, slot: s}
 		used = append(used, s)
 	}
@@ -1084,220 +985,166 @@ func (e *Engine) checkRequest(p *Packet, req Request) error {
 }
 
 // deflectLosers assigns outgoing slots to the packets at node v whose
-// requests were not granted, preferring (1) the reverse of each
-// packet's own arrival, (2) safe backward slots recycled from the
-// previous step's forward traversals, (3) any backward slot, (4) any
-// forward slot. Under the paper's preconditions only (1) and (2) occur.
-// Claimed slots live in usedBuf (seeded by resolveNode with the granted
-// slots). Each deflection is counted, recorded and reported to the
-// router as it is assigned, so callbacks and events follow the
-// occupied-list order of the nodes.
+// requests were not granted (those without a move this epoch),
+// preferring (1) the reverse of each packet's own arrival, (2) safe
+// backward slots recycled from the previous step's forward traversals,
+// (3) any backward slot, (4) any forward slot. Under the paper's
+// preconditions only (1) and (2) occur. Claimed slots live in usedBuf
+// (seeded by resolveNode with the granted slots). Each deflection is
+// counted, recorded and reported to the router as it is assigned, so
+// callbacks and events follow the occupied-list order of the nodes.
 func (e *Engine) deflectLosers(t int, v graph.NodeID, occ []PacketID) {
-	e.loserBuf = e.loserBuf[:0]
+	losers := e.loserBuf[:0]
 	for _, pid := range occ {
-		if !e.granted[pid] {
-			e.loserBuf = append(e.loserBuf, pid)
+		if e.moves[pid].epoch != e.epoch {
+			losers = append(losers, pid)
 		}
 	}
-	if len(e.loserBuf) == 0 {
+	e.loserBuf = losers
+	if len(losers) == 0 {
 		return
 	}
-	losers := e.loserBuf
 	node := e.G.Node(v)
 
-	free := func(s int32) bool {
-		for _, u := range e.usedBuf {
-			if u == s {
-				return false
-			}
-		}
-		return e.Faults == nil || !e.Faults(slotEdge(s), t)
-	}
-	assign := func(pid PacketID, s int32, kind DeflectKind) {
-		e.usedBuf = append(e.usedBuf, s)
-		e.moves[pid] = moveRec{epoch: e.epoch, slot: s}
-		p := &e.Packets[pid]
-		p.Deflections++
-		e.M.Deflections[kind]++
-		if e.events != nil {
-			e.events.RecordEvent(t, pid, EventDeflect, int32(kind))
-		}
-		e.router.OnDeflect(t, p, slotEdge(s), kind)
-	}
-
-	// Pass 1: own arrival reverse.
-	remaining := losers[:0]
+	// Pass 1: own arrival reverse. The arrival traversal ends at v, so
+	// its reverse leaves v.
+	n := 0
 	for _, pid := range losers {
-		p := &e.Packets[pid]
-		if p.ArrivalEdge != graph.NoEdge {
-			d := p.ArrivalDir.Reverse()
-			s := slotIndex(p.ArrivalEdge, d)
-			if e.G.EndpointAt(p.ArrivalEdge, d.Reverse()) == v && free(s) {
-				assign(pid, s, DeflectArrivalReverse)
+		if p := &e.Packets[pid]; p.ArrivalEdge != graph.NoEdge {
+			if s := slotIndex(p.ArrivalEdge, p.ArrivalDir.Reverse()); e.slotFree(t, s) {
+				e.deflect(t, pid, s, DeflectArrivalReverse)
 				continue
 			}
 		}
-		remaining = append(remaining, pid)
+		losers[n] = pid
+		n++
 	}
-	losers = remaining
+	losers = losers[:n]
 
 	// Pass 2: safe backward (edges forward-traversed last step).
-	remaining = losers[:0]
+	n = 0
 	for _, pid := range losers {
-		var chosen int32
 		found := false
 		for _, ed := range node.Down {
-			s := slotIndex(ed, graph.Backward)
-			if free(s) && bitGet(e.prevFwdBits, int32(ed)) {
-				chosen, found = s, true
+			if s := slotIndex(ed, graph.Backward); bitGet(e.prevFwdBits, int32(ed)) && e.slotFree(t, s) {
+				e.deflect(t, pid, s, DeflectSafeBackward)
+				found = true
 				break
 			}
 		}
-		if found {
-			assign(pid, chosen, DeflectSafeBackward)
-		} else {
-			remaining = append(remaining, pid)
+		if !found {
+			losers[n] = pid
+			n++
 		}
 	}
-	losers = remaining
 
 	// Pass 3: any backward; Pass 4: any forward.
-	for _, pid := range losers {
-		assigned := false
+nextLoser:
+	for _, pid := range losers[:n] {
 		for _, ed := range node.Down {
-			s := slotIndex(ed, graph.Backward)
-			if free(s) {
-				assign(pid, s, DeflectUnsafeBackward)
-				assigned = true
-				break
+			if s := slotIndex(ed, graph.Backward); e.slotFree(t, s) {
+				e.deflect(t, pid, s, DeflectUnsafeBackward)
+				continue nextLoser
 			}
-		}
-		if assigned {
-			continue
 		}
 		for _, ed := range node.Up {
-			s := slotIndex(ed, graph.Forward)
-			if free(s) {
-				assign(pid, s, DeflectForward)
-				assigned = true
-				break
+			if s := slotIndex(ed, graph.Forward); e.slotFree(t, s) {
+				e.deflect(t, pid, s, DeflectForward)
+				continue nextLoser
 			}
 		}
-		if !assigned {
-			if e.Faults != nil {
-				// An outage consumed the node's slack: the packet holds
-				// for one step (stallSlot), the bufferless model's local
-				// escape hatch under faults.
-				e.moves[pid] = moveRec{epoch: e.epoch, slot: stallSlot}
-				e.M.FaultStalls++
-				if e.events != nil {
-					e.events.RecordEvent(t, pid, EventStall, 0)
-				}
-				continue
-			}
+		if e.Faults == nil {
 			panic(fmt.Sprintf("sim: step %d: node %d: no free slot for deflected packet %d (capacity violated)", t, v, pid))
+		}
+		// An outage consumed the node's slack: the packet holds for one
+		// step (stallSlot), the bufferless model's local escape hatch
+		// under faults.
+		e.moves[pid] = moveRec{epoch: e.epoch, slot: stallSlot}
+		e.M.FaultStalls++
+		if e.events != nil {
+			e.events.RecordEvent(t, pid, EventStall, 0)
 		}
 	}
 }
 
+// slotFree reports whether slot s is unclaimed at the node being
+// resolved and its edge is up at step t.
+func (e *Engine) slotFree(t int, s int32) bool {
+	for _, u := range e.usedBuf {
+		if u == s {
+			return false
+		}
+	}
+	return e.Faults == nil || !e.Faults(slotEdge(s), t)
+}
+
+// deflect claims slot s for loser pid and counts, records and reports
+// the deflection.
+func (e *Engine) deflect(t int, pid PacketID, s int32, kind DeflectKind) {
+	e.usedBuf = append(e.usedBuf, s)
+	e.moves[pid] = moveRec{epoch: e.epoch, slot: s}
+	p := &e.Packets[pid]
+	p.Deflections++
+	e.M.Deflections[kind]++
+	if e.events != nil {
+		e.events.RecordEvent(t, pid, EventDeflect, int32(kind))
+	}
+	if e.notify != nil {
+		e.notify.OnDeflect(t, p, slotEdge(s), kind)
+	}
+}
+
 // applyMove commits one traversal and updates path bookkeeping: a
-// traversal of the path head pops it, anything else prepends (the
-// paper's deflection rule, which also covers wait-state oscillation).
-// Both are O(1) window moves over the packet's borrowed segment (see
-// pathBase); the segment origin is tracked separately, so the full
-// capacity still returns to the pool on absorption.
+// traversal of the path head (the move's slot equals the head's slot)
+// pops it, anything else prepends (the paper's deflection rule, which
+// also covers wait-state oscillation). Both are O(1) window moves over
+// the packet's arena segment (see pathEdges).
 func (e *Engine) applyMove(t int, p *Packet, s int32) {
 	ed, dir := slotEdge(s), slotDir(s)
 	pid := p.ID
-	var dest graph.NodeID
-	if len(p.PathList) > 0 && p.PathList[0] == ed {
-		// Pop: the head traversal (dir necessarily equals HeadDir — a
-		// slot leaving Cur along ed has a unique direction).
-		if e.offPath[pid] == 0 {
-			// On the preselected path: the destination comes from the
-			// precomputed node sequence, read sequentially per packet,
-			// and the next head is again a forward preselected edge.
-			idx := e.preIdx[pid] + 1
-			e.preIdx[pid] = idx
-			dest = e.preNodes[int(pid)*e.preUnit+int(idx)]
-			p.HeadDir = graph.Forward
-		} else {
-			// Retracing a prepended entry.
-			dest = e.G.EndpointAt(ed, dir)
-			e.offPath[pid]--
-			e.retraceDirs[pid] >>= 1
-			switch {
-			case e.offPath[pid] == 0:
-				e.retraceDeep[pid] = false
-				p.HeadDir = graph.Forward
-			case e.retraceDeep[pid]:
-				p.HeadDir = e.G.DirectionFrom(p.PathList[1], dest)
-			default:
-				p.HeadDir = graph.Direction(e.retraceDirs[pid] & 1)
-			}
-		}
+	h := e.pathHead[pid]
+	if len(p.PathList) > 0 && e.pathSlots[h] == s {
+		h++
 		p.PathList = p.PathList[1:]
-		e.pathHead[pid]++
+		if len(p.PathList) > 0 {
+			p.HeadDir = slotDir(e.pathSlots[h])
+		}
 	} else {
-		// Prepend: a deflection or wait oscillation off the head. The
-		// new head retraces this traversal, so its direction from the
-		// destination is known without a lookup.
-		dest = e.G.EndpointAt(ed, dir)
-		h := e.pathHead[pid]
-		if h == 0 {
-			h = e.repackPath(p)
+		// Prepend: the new head retraces this traversal.
+		if h == e.pathLo[pid] {
+			e.growPath(p)
+			h = e.pathHead[pid]
 		}
 		h--
-		base := e.pathBase[pid]
-		full := base[:cap(base)]
-		full[h] = ed
-		e.pathHead[pid] = h
-		p.PathList = full[h : int(h)+1+len(p.PathList)]
-		if e.offPath[pid] >= 64 {
-			e.retraceDeep[pid] = true
-		}
-		e.offPath[pid]++
-		e.retraceDirs[pid] = e.retraceDirs[pid]<<1 | uint64(dir.Reverse())
+		e.pathEdges[h] = ed
+		e.pathSlots[h] = s ^ 1
+		p.PathList = e.pathEdges[h : int(h)+1+len(p.PathList)]
 		p.HeadDir = dir.Reverse()
 	}
-	p.Cur = dest
+	e.pathHead[pid] = h
+	p.Cur = e.G.EndpointAt(ed, dir)
 	p.ArrivalEdge = ed
 	p.ArrivalDir = dir
-	lvl := e.lvlOf[p.ID]
-	e.levelCount[lvl]--
 	if dir == graph.Forward {
 		p.ForwardMoves++
 		bitSet(e.curFwdBits, int32(ed))
 		e.curTouched = append(e.curTouched, ed)
-		lvl++
 	} else {
 		p.BackwardMoves++
-		lvl--
-	}
-	e.lvlOf[p.ID] = lvl
-	e.levelCount[lvl]++
-	if int(lvl) < e.winLo {
-		e.winLo = int(lvl)
-	}
-	if int(lvl) > e.winHi {
-		e.winHi = int(lvl)
 	}
 	e.M.Moves++
-	if e.granted[p.ID] {
-		e.router.OnMove(t, p)
+	if e.notify != nil && s == e.reqSlot[pid] {
+		e.notify.OnMove(t, p)
 	}
 	if p.Cur == p.Dst {
 		p.Active = false
 		p.Absorbed = true
 		p.AbsorbTime = t + 1
-		e.levelCount[lvl]--
+		p.PathList = nil
 		e.M.Absorbed++
-		if base := e.pathBase[p.ID]; base != nil {
-			e.pathPool = append(e.pathPool, base[:0])
-			e.pathBase[p.ID] = nil
-			p.PathList = nil
+		if e.notify != nil {
+			e.notify.OnAbsorb(t, p)
 		}
-		e.router.OnAbsorb(t, p)
 		if e.events != nil {
 			e.events.RecordEvent(t, p.ID, EventAbsorb, int32(p.Dst))
 		}

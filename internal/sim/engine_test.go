@@ -235,10 +235,6 @@ func (o *oscillateOnce) Request(t int, p *sim.Packet) sim.Request {
 	return sim.Request{Edge: p.PathList[0], Dir: o.g.DirectionFrom(p.PathList[0], p.Cur), Priority: 0}
 }
 
-func (*oscillateOnce) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
-func (*oscillateOnce) OnMove(int, *sim.Packet)                                   {}
-func (*oscillateOnce) OnAbsorb(int, *sim.Packet)                                 {}
-func (*oscillateOnce) EndStep(int, *sim.Engine)                                  {}
 
 func TestPriorityWinsConflict(t *testing.T) {
 	// On the merge problem give packet 0 an always-higher priority; it
@@ -270,10 +266,6 @@ func (r *priorityRouter) WantInject(int, *sim.Packet) bool { return true }
 func (r *priorityRouter) Request(t int, p *sim.Packet) sim.Request {
 	return sim.Request{Edge: p.PathList[0], Dir: r.g.DirectionFrom(p.PathList[0], p.Cur), Priority: r.prio[p.ID]}
 }
-func (*priorityRouter) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
-func (*priorityRouter) OnMove(int, *sim.Packet)                                   {}
-func (*priorityRouter) OnAbsorb(int, *sim.Packet)                                 {}
-func (*priorityRouter) EndStep(int, *sim.Engine)                                  {}
 
 func TestDeterminismSameSeed(t *testing.T) {
 	g, err := topo.Butterfly(4)
@@ -411,10 +403,6 @@ func (*badRouter) WantInject(int, *sim.Packet) bool { return true }
 func (*badRouter) Request(t int, p *sim.Packet) sim.Request {
 	return sim.Request{Edge: 1, Dir: graph.Forward} // not incident to level-0 node
 }
-func (*badRouter) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
-func (*badRouter) OnMove(int, *sim.Packet)                                   {}
-func (*badRouter) OnAbsorb(int, *sim.Packet)                                 {}
-func (*badRouter) EndStep(int, *sim.Engine)                                  {}
 
 func TestMaxStepsBudget(t *testing.T) {
 	p := linearProblem(t, 10, 1)
@@ -430,12 +418,19 @@ func TestMaxStepsBudget(t *testing.T) {
 	}
 }
 
-// recorder wraps a router and logs every callback that reports an
+// recorder wraps a router and logs every notification that reports an
 // outcome (deflect, move, absorb) — the engine's full router-visible
-// trace. WantInject and Request are passed through unlogged.
+// trace — forwarding each to the inner router when it is a
+// sim.Notifier. WantInject and Request are passed through unlogged.
 type recorder struct {
-	inner sim.Router
-	log   strings.Builder
+	inner  sim.Router
+	notify sim.Notifier // inner's, nil when it has none
+	log    strings.Builder
+}
+
+func newRecorder(inner sim.Router) *recorder {
+	n, _ := inner.(sim.Notifier)
+	return &recorder{inner: inner, notify: n}
 }
 
 func (r *recorder) Name() string       { return r.inner.Name() }
@@ -448,23 +443,33 @@ func (r *recorder) Request(t int, p *sim.Packet) sim.Request {
 }
 func (r *recorder) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, k sim.DeflectKind) {
 	fmt.Fprintf(&r.log, "d %d %d %d %d\n", t, p.ID, e, k)
-	r.inner.OnDeflect(t, p, e, k)
+	if r.notify != nil {
+		r.notify.OnDeflect(t, p, e, k)
+	}
 }
 func (r *recorder) OnMove(t int, p *sim.Packet) {
 	fmt.Fprintf(&r.log, "m %d %d %d\n", t, p.ID, p.Cur)
-	r.inner.OnMove(t, p)
+	if r.notify != nil {
+		r.notify.OnMove(t, p)
+	}
 }
 func (r *recorder) OnAbsorb(t int, p *sim.Packet) {
 	fmt.Fprintf(&r.log, "a %d %d\n", t, p.ID)
-	r.inner.OnAbsorb(t, p)
+	if r.notify != nil {
+		r.notify.OnAbsorb(t, p)
+	}
 }
-func (r *recorder) EndStep(t int, e *sim.Engine) { r.inner.EndStep(t, e) }
+func (r *recorder) EndStep(t int, e *sim.Engine) {
+	if r.notify != nil {
+		r.notify.EndStep(t, e)
+	}
+}
 
 // plannerRecorder forwards the inner router's InjectionPlanner bound,
 // so recorded runs exercise the engine's release queue exactly like
-// unwrapped runs (a wrapper that hid InjectStep would silently fall
-// back to the legacy full pending sweep).
-type plannerRecorder struct{ recorder }
+// unwrapped runs (a wrapper that hid InjectStep would fall back to the
+// full pending sweep).
+type plannerRecorder struct{ *recorder }
 
 func (r *plannerRecorder) InjectStep(p *sim.Packet) int {
 	return r.inner.(sim.InjectionPlanner).InjectStep(p)
@@ -472,12 +477,11 @@ func (r *plannerRecorder) InjectStep(p *sim.Packet) int {
 
 // wrapRecorder wraps the router, keeping its InjectionPlanner bound.
 func wrapRecorder(inner sim.Router) (sim.Router, *recorder) {
+	rec := newRecorder(inner)
 	if _, ok := inner.(sim.InjectionPlanner); ok {
-		w := &plannerRecorder{recorder{inner: inner}}
-		return w, &w.recorder
+		return &plannerRecorder{rec}, rec
 	}
-	w := &recorder{inner: inner}
-	return w, w
+	return rec, rec
 }
 
 // fullTrace runs the problem to completion and returns the metrics plus

@@ -3,13 +3,15 @@ package sim
 // Test-only exports: the statistical tests exercise the unexported
 // counter-based generators directly.
 var (
-	ArbKeyForTest    = arbKey
 	ArbStreamForTest = arbStream
 )
 
-// SetLegacyInjectForTest disables (v=true) or re-enables (v=false) the
-// InjectionPlanner release queue, restoring the legacy full pending
-// sweep. Takes effect at the next Reset — call it before Reset(seed) so
-// the run starts under the chosen injection path. The differential
-// harness uses it to assert the two paths commit byte-identical traces.
-func SetLegacyInjectForTest(e *Engine, v bool) { e.legacyInject = v }
+// ArbKeyForTest is the arbitration key of contender pid for slot s at
+// step t, as resolveNode composes it.
+func ArbKeyForTest(seed uint64, t int, s int32, pid PacketID) uint64 {
+	return arbDraw(arbSlot(seed, t, s), pid)
+}
+
+// PathUnitForTest is the size of a packet's home path segment: the
+// longest preselected path plus the prepend headroom.
+func PathUnitForTest(e *Engine) int { return e.pathUnit }

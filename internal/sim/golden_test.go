@@ -46,7 +46,7 @@ func traceDigest(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed 
 	tb.Helper()
 	router, rec := wrapRecorder(mk())
 	if !planned {
-		rec = &recorder{inner: rec.inner}
+		rec = newRecorder(rec.inner)
 		router = rec
 	}
 	m, tr := recordedTrace(tb, p, router, rec, seed, fm)

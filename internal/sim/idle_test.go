@@ -20,6 +20,10 @@ type spacedPlanner struct {
 	endSteps int
 }
 
+func (*spacedPlanner) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
+func (*spacedPlanner) OnMove(int, *sim.Packet)                                   {}
+func (*spacedPlanner) OnAbsorb(int, *sim.Packet)                                 {}
+
 const idleGap = 100
 
 func (s *spacedPlanner) WantInject(t int, p *sim.Packet) bool { return t >= s.InjectStep(p) }
@@ -68,11 +72,10 @@ func TestIdleSkipEngages(t *testing.T) {
 	}
 }
 
-// TestIdleSkipDisabledByHooks: an observer, probe or event sink (and the
-// legacy injection sweep, which has no release schedule) must see every
-// step, so each disables the fast-forward — EndStep runs once per
-// simulated step — and the run is otherwise identical to the skipping
-// one.
+// TestIdleSkipDisabledByHooks: an observer, probe or event sink must
+// see every step, so each disables the fast-forward — EndStep runs once
+// per simulated step — and the run is otherwise identical to the
+// skipping one.
 func TestIdleSkipDisabledByHooks(t *testing.T) {
 	const seed = 3
 	wantM, wantTr, _ := idleReference(t, seed)
@@ -83,10 +86,6 @@ func TestIdleSkipDisabledByHooks(t *testing.T) {
 		{"observer", func(e *sim.Engine) { e.AddObserver(func(int, *sim.Engine) {}) }},
 		{"probe", func(e *sim.Engine) { e.AttachProbe(nopProbe{}) }},
 		{"events", func(e *sim.Engine) { e.AttachEventSink(nopSink{}) }},
-		{"legacy-inject", func(e *sim.Engine) {
-			sim.SetLegacyInjectForTest(e, true)
-			e.Reset(seed)
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, sp, rec := newIdleEngine(t, seed)

@@ -9,7 +9,7 @@ import "hotpotato/internal/graph"
 // checks and nothing else, preserving the CI-gated 0 allocs/step
 // invariant; with one attached, every snapshot field is produced from
 // the step's metric deltas, its excited-request count and a post-commit
-// census, so a seed fixes the series byte for byte. The higher-level probe vocabulary — per-round and
+// census of the active list, so a seed fixes the series byte for byte. The higher-level probe vocabulary — per-round and
 // per-phase callbacks, schedule annotation, exporters — lives in
 // internal/obs, which consumes these hooks.
 
@@ -78,7 +78,7 @@ const ExcitedPriority int64 = 2
 
 // Probe receives the hot-potato engine's per-step snapshot. OnStep runs
 // sequentially on the stepping goroutine after the commit, before
-// observers and Router.EndStep; the snapshot is engine-owned and valid
+// observers and Notifier.EndStep; the snapshot is engine-owned and valid
 // only for the duration of the call.
 type Probe interface {
 	OnStep(e *Engine, s *StepSnapshot)
@@ -273,21 +273,25 @@ func (e *Engine) emitSnapshot(t int, excited int) {
 		s.Availability = 1 - float64(s.EdgesDown)/float64(e.G.NumEdges())
 	}
 	e.lastM = e.M
-	// The census copies the engine's incremental per-level counters over
-	// the active window only — levels outside [lo, hi] are provably
-	// empty — and zeroes only the band the previous emit filled
-	// (snapLo/snapHi), so on a deep network with a narrow frontier both
-	// halves of the fill follow the window width, not the depth (the old
-	// full-array zero was the last O(depth) walk on the probed path).
-	lo, hi := e.Window()
-	s.WindowLo, s.WindowHi = lo, hi
+	// The census recounts the active list, bounding the window as it
+	// goes, and zeroes only the band the previous emit filled
+	// (snapLo/snapHi), so on a deep network with a narrow frontier the
+	// fill follows the packets in flight and the window width, not the
+	// depth.
 	occ := s.Occupancy
 	for l := e.snapLo; l <= e.snapHi; l++ {
 		occ[l] = 0
 	}
-	for l := lo; l <= hi; l++ {
-		occ[l] = int(e.levelCount[l])
+	lo, hi := len(occ), -1
+	for _, pid := range e.active {
+		l := e.G.LevelOf(e.Packets[pid].Cur)
+		occ[l]++
+		lo, hi = min(lo, l), max(hi, l)
 	}
+	if hi < 0 {
+		lo = 0
+	}
+	s.WindowLo, s.WindowHi = lo, hi
 	e.snapLo, e.snapHi = lo, hi
 	e.probe.OnStep(e, s)
 }

@@ -3,7 +3,7 @@ package sim
 // Arbitration randomness is counter-based: every draw is a pure
 // function of (engine seed, step, slot, packet), with no sequential
 // generator state at all. The engine resolves an equal-priority slot
-// conflict by giving each contender the key arbKey(seed, t, slot, pid)
+// conflict by giving each contender the key of (seed, t, slot, pid)
 // and crowning the largest key (ties, ~2^-64, break toward the larger
 // packet ID). Because max is commutative, the winner does not depend on
 // the order in which contenders are enumerated: requests may be
@@ -43,12 +43,20 @@ func arbStream(seed int64) uint64 {
 	return StreamSeed(seed, 0xA5B35705) // fixed engine-arbitration salt
 }
 
-// arbKey returns the arbitration key of contender pid for slot s at
-// step t: 64 iid uniform bits per (seed, step, slot, packet) tuple.
-// Step and slot pack exactly into the first mixing word, the packet ID
-// into the second, so distinct tuples never collide before mixing.
-func arbKey(seed uint64, t int, s int32, pid PacketID) uint64 {
-	h := mix64(seed ^ (uint64(uint32(t)) | uint64(uint32(s))<<32))
+// The arbitration key of contender pid for slot s at step t is
+// arbDraw(arbSlot(seed, t, s), pid): 64 iid uniform bits per (seed,
+// step, slot, packet) tuple. Step and slot pack exactly into the first
+// mixing word, the packet ID into the second, so distinct tuples never
+// collide before mixing; a contested slot mixes its first word once for
+// all of its contenders.
+
+// arbSlot mixes the (step, slot) word of slot s's arbitration keys.
+func arbSlot(seed uint64, t int, s int32) uint64 {
+	return mix64(seed ^ (uint64(uint32(t)) | uint64(uint32(s))<<32))
+}
+
+// arbDraw finishes contender pid's key from its slot's word.
+func arbDraw(h uint64, pid PacketID) uint64 {
 	return mix64(h ^ 0x9E3779B97F4A7C15 ^ uint64(uint32(pid)))
 }
 
