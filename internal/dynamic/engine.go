@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 
@@ -122,9 +123,13 @@ type Engine struct {
 	// qBufPool recycles path backings of pending/retry entries.
 	qBufPool [][]graph.EdgeID
 
-	retryQ  []retryEntry
-	pending []pendingEntry
-	nextID  int
+	retryQ []retryEntry
+	// retryDue is the earliest next over retryQ (math.MaxInt when it is
+	// empty), derived as entries join and after each retry pass, never
+	// serialized: Step skips the pass while it lies ahead.
+	retryDue int
+	pending  []pendingEntry
+	nextID   int
 
 	lat             latReservoir
 	inFlightSum     float64
@@ -293,6 +298,7 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	// (retry depth is workload-dependent), so seed them generously:
 	// exceeding these is a rare cold-path growth, not a steady leak.
 	e.retryQ = make([]retryEntry, 0, 64)
+	e.retryDue = math.MaxInt
 	e.pending = make([]pendingEntry, 0, 64)
 	e.qBufPool = make([][]graph.EdgeID, 0, 128)
 	for i := 0; i < 64; i++ {
@@ -648,6 +654,12 @@ func (e *Engine) Tenants() map[string]*TenantTotals { return e.tenants }
 // Latency summary and AvgInFlight are only computed by Finalize.
 func (e *Engine) Peek() Result { return *e.res }
 
+// queueRetry appends en to the retry queue, keeping retryDue.
+func (e *Engine) queueRetry(en retryEntry) {
+	e.retryQ = append(e.retryQ, en)
+	e.retryDue = min(e.retryDue, en.next)
+}
+
 // Step advances the simulation one slotted step: retries, pending
 // injections, λ-arrivals, request arbitration, deflections, commit,
 // window bookkeeping. It is an error to step a finalized engine.
@@ -661,33 +673,37 @@ func (e *Engine) Step() error {
 
 	// Retry admissions first: waiting packets get the source slot ahead
 	// of fresh arrivals (no new packet starves a backlogged one). The
-	// queue is FIFO and consumes no randomness.
-	if len(e.retryQ) > 0 {
-		keep := e.retryQ[:0]
-		for i := range e.retryQ {
-			en := e.retryQ[i]
-			if en.next > t {
-				keep = append(keep, en)
-				continue
+	// queue is FIFO and consumes no randomness. Entries are read in
+	// place and moved down only once an earlier one has left the queue;
+	// the pass is skipped while no entry is due.
+	if len(e.retryQ) > 0 && e.retryDue <= t {
+		q, n, due := e.retryQ, 0, math.MaxInt
+		for i := range q {
+			en := &q[i]
+			if en.next <= t {
+				res.Retried++
+				if tt := e.ledger(en.tenant); tt != nil {
+					tt.Retried++
+				}
+				if e.inject(t, en.tenant, en.src, en.dst, en.path) {
+					e.returnQBuf(en.path)
+					continue
+				}
+				en.attempts++
+				if en.attempts >= cfg.Retry.MaxAttempts {
+					e.dropPacket(en.tenant)
+					e.returnQBuf(en.path)
+					continue
+				}
+				en.next = t + cfg.Retry.backoff(en.attempts)
 			}
-			res.Retried++
-			if tt := e.ledger(en.tenant); tt != nil {
-				tt.Retried++
+			due = min(due, en.next)
+			if n != i {
+				q[n] = *en
 			}
-			if e.inject(t, en.tenant, en.src, en.dst, en.path) {
-				e.returnQBuf(en.path)
-				continue
-			}
-			en.attempts++
-			if en.attempts >= cfg.Retry.MaxAttempts {
-				e.dropPacket(en.tenant)
-				e.returnQBuf(en.path)
-				continue
-			}
-			en.next = t + cfg.Retry.backoff(en.attempts)
-			keep = append(keep, en)
+			n++
 		}
-		e.retryQ = keep
+		e.retryQ, e.retryDue = q[:n], due
 	}
 
 	// Pending service submissions: FIFO, one injection attempt each;
@@ -715,7 +731,7 @@ func (e *Engine) Step() error {
 				continue
 			}
 			if cfg.Retry.enabled() {
-				e.retryQ = append(e.retryQ, retryEntry{
+				e.queueRetry(retryEntry{
 					tenant: en.tenant, src: en.src, dst: en.dst, path: en.path,
 					attempts: 1, next: t + cfg.Retry.backoff(1),
 				})
@@ -746,7 +762,7 @@ func (e *Engine) Step() error {
 				continue
 			}
 			if cfg.Retry.enabled() {
-				e.retryQ = append(e.retryQ, retryEntry{
+				e.queueRetry(retryEntry{
 					tenant: -1, src: s, dst: dst, path: path,
 					attempts: 1, next: t + cfg.Retry.backoff(1),
 				})

@@ -243,7 +243,7 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: restore: retry entry %d: %w", i, err)
 		}
-		e.retryQ = append(e.retryQ, retryEntry{
+		e.queueRetry(retryEntry{
 			tenant: e.internTenant(rs.Tenant), src: graph.NodeID(rs.Src), dst: graph.NodeID(rs.Dst),
 			path: path, attempts: rs.Attempts, next: rs.Next,
 		})

@@ -235,7 +235,6 @@ func (o *oscillateOnce) Request(t int, p *sim.Packet) sim.Request {
 	return sim.Request{Edge: p.PathList[0], Dir: o.g.DirectionFrom(p.PathList[0], p.Cur), Priority: 0}
 }
 
-
 func TestPriorityWinsConflict(t *testing.T) {
 	// On the merge problem give packet 0 an always-higher priority; it
 	// must never be deflected.
