@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"hotpotato/internal/mc"
 	"hotpotato/internal/obs"
 	"hotpotato/internal/sim"
+	"hotpotato/internal/stats"
 	"hotpotato/internal/topo"
 	"hotpotato/internal/workload"
 )
@@ -26,8 +28,8 @@ type Row struct {
 	// Observability rows end in "/<mode>".
 	Name string `json:"name"`
 	// NsPerStep holds one sample per rep: the rep's summed wall time
-	// over its summed steps. Compare gates the fastest sample, since
-	// nothing makes a rep spuriously fast.
+	// over its summed steps. Compare gates the bootstrap interval of
+	// their median (see MedianCI).
 	NsPerStep []float64 `json:"ns_per_step,omitempty"`
 	// Steps is the measured step count of the shortest rep.
 	Steps int `json:"steps"`
@@ -59,6 +61,13 @@ func (r Row) Best() float64 {
 		best = min(best, s)
 	}
 	return best
+}
+
+// MedianCI is the 95% percentile-bootstrap interval of the median rep's
+// ns/step, drawn from a fixed seed so a document always yields the same
+// interval.
+func (r Row) MedianCI() stats.QuantileCI {
+	return stats.BootstrapQuantileCI(r.NsPerStep, 0.5, 1000, 0x5eed, 0.95)
 }
 
 // Doc is one BENCH_*.json document: the recording host, the suite and
@@ -138,8 +147,12 @@ func cpuModel() string {
 }
 
 const (
-	// benchReps is how many samples each row takes.
-	benchReps = 5
+	// benchReps is how many samples each row takes at least; while the
+	// median's interval (Row.MedianCI) is wider than benchCIWidth of
+	// the median, measure adds reps, up to benchMaxReps.
+	benchReps    = 5
+	benchMaxReps = 15
+	benchCIWidth = 0.10
 	// benchWindow is the fewest steps one rep measures: a rep repeats
 	// its pass until it has covered this many. The dense butterfly
 	// drains in ~14 steps, tens of microseconds, where a single pass is
@@ -160,8 +173,8 @@ type pass struct {
 
 // measure is the one measure loop behind every stepped row: warm once,
 // so measured passes see no scratch growth or first-touch allocation;
-// then take benchReps reps, each repeating the pass until it reaches
-// benchWindow steps. Only the passes' own clocks count, so per-pass
+// then take benchReps reps (more while the median's interval is wide),
+// each repeating the pass until it reaches benchWindow steps. Only the passes' own clocks count, so per-pass
 // rewinds stay outside the timing. The metrics record the
 // mean pass, and steady_ns_per_step the fastest rep's drain rate.
 func measure(name string, run func() (pass, error)) (Row, error) {
@@ -172,7 +185,7 @@ func measure(name string, run func() (pass, error)) (Row, error) {
 	steady := 0.0
 	var tot pass
 	passes := 0
-	for rep := 0; rep < benchReps; rep++ {
+	for rep := 0; rep < benchReps || rep < benchMaxReps && wideCI(row); rep++ {
 		tot, passes = pass{}, 0
 		runtime.GC()
 		var before, after runtime.MemStats
@@ -212,6 +225,13 @@ func measure(name string, run func() (pass, error)) (Row, error) {
 		row.Metrics["steady_ns_per_step"] = steady
 	}
 	return row, nil
+}
+
+// wideCI reports whether r's median interval spans more than
+// benchCIWidth of the median.
+func wideCI(r Row) bool {
+	ci := r.MedianCI()
+	return ci.Hi-ci.Lo > benchCIWidth*ci.Estimate
 }
 
 // enginePass rewinds e and re-attaches its instrumentation outside the
@@ -269,7 +289,8 @@ type engineCase struct {
 }
 
 // engineCases returns the dense butterfly, the sparse (staggered)
-// butterfly, the hard mesh and a random leveled network at scale.
+// butterfly, the hard mesh and a random leveled network at scale, and
+// the greedy hot-spot batch at every scale.
 func engineCases(scale int) []engineCase {
 	denseK, sparseK, meshN := 7, 10, 12
 	if scale >= 2 {
@@ -312,6 +333,19 @@ func engineCases(scale int) []engineCase {
 					return nil, err
 				}
 				return workload.Random(g, rngFor("bench-engine-random", 1), 0.5)
+			},
+			route: greedy,
+		},
+		{
+			// The contended step of the greedy-hotspot benchmark: the
+			// first problem of its corpus, 1024 packets to 8 spots.
+			name: "butterfly(10)-hotspot/greedy",
+			build: func() (*workload.Problem, error) {
+				g, err := topo.Butterfly(10)
+				if err != nil {
+					return nil, err
+				}
+				return workload.HotSpot(g, rand.New(rand.NewSource(1)), 1024, 8)
 			},
 			route: greedy,
 		},
@@ -596,12 +630,14 @@ func CheckStrictAllocs(d *Doc) error {
 	return nil
 }
 
-// Compare is the regression gate: every row matched by name between the
-// committed baseline and the current document must not regress its
-// fastest ns/step by more than tolerance (fractional; 0.10 = 10%). Rows
-// on one side only are ignored (names scale with the suite's scale).
-// Documents of a different suite or scale compare nothing, with a
-// warning.
+// Compare is the regression gate: a row matched by name between the
+// committed baseline and the current document fails only when the lower
+// bound of its current median interval (Row.MedianCI) exceeds the
+// baseline's median rep by more than tolerance (fractional; 0.10 =
+// 10%), so host noise that moves single reps by 30% does not trip it.
+// Rows on one side only are ignored (names scale with the suite's
+// scale). Documents of a different suite or scale compare nothing, with
+// a warning.
 func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
 	if baseline.Suite != current.Suite || baseline.Scale != current.Scale {
 		return []string{fmt.Sprintf("baseline %s scale %d != current %s scale %d; nothing compared",
@@ -613,13 +649,13 @@ func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
 	}
 	for _, r := range current.Rows {
 		b, ok := base[r.Name]
-		old, cur := b.Best(), r.Best()
-		if !ok || old <= 0 || cur <= 0 {
+		if !ok || len(b.NsPerStep) == 0 || len(r.NsPerStep) == 0 {
 			continue
 		}
-		if cur > old*(1+tolerance) {
-			return nil, fmt.Errorf("bench: regression on %s: %.2f ns/step vs baseline %.2f (+%.1f%%, tolerance %.0f%%)",
-				r.Name, cur, old, 100*(cur/old-1), 100*tolerance)
+		old, cur := stats.QuantileUnsorted(b.NsPerStep, 0.5), r.MedianCI()
+		if cur.Lo > old*(1+tolerance) {
+			return nil, fmt.Errorf("bench: regression on %s: median %.2f ns/step (95%% interval %.2f-%.2f) vs baseline median %.2f (+%.1f%%, tolerance %.0f%%)",
+				r.Name, cur.Estimate, cur.Lo, cur.Hi, old, 100*(cur.Lo/old-1), 100*tolerance)
 		}
 	}
 	return nil, nil

@@ -24,8 +24,12 @@ func checkRows(t *testing.T, d *Doc) {
 		if len(r.NsPerStep) == 0 {
 			continue
 		}
-		if len(r.NsPerStep) != benchReps || r.Steps < benchWindow {
-			t.Errorf("%s: %d samples over %d steps, want %d over >= %d", r.Name, len(r.NsPerStep), r.Steps, benchReps, benchWindow)
+		if n := len(r.NsPerStep); n < benchReps || n > benchMaxReps || r.Steps < benchWindow {
+			t.Errorf("%s: %d samples over %d steps, want %d to %d over >= %d",
+				r.Name, n, r.Steps, benchReps, benchMaxReps, benchWindow)
+		}
+		if n := len(r.NsPerStep); n < benchMaxReps && wideCI(r) {
+			t.Errorf("%s: stopped at %d reps with a median interval wider than %.0f%%", r.Name, n, 100*benchCIWidth)
 		}
 		for _, ns := range r.NsPerStep {
 			if ns <= 0 {
@@ -50,9 +54,9 @@ func TestEngineBenchQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRows(t, d)
-	// Four gated topology rows and the ensemble row.
-	if len(d.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(d.Rows))
+	// Five gated topology rows and the ensemble row.
+	if len(d.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(d.Rows))
 	}
 	gated := 0
 	for _, r := range d.Rows {
@@ -70,8 +74,8 @@ func TestEngineBenchQuick(t *testing.T) {
 			gated++
 		}
 	}
-	if gated != 4 {
-		t.Errorf("%d gated rows, want 4", gated)
+	if gated != 5 {
+		t.Errorf("%d gated rows, want 5", gated)
 	}
 	// The zero-alloc claim: a warmed, Reset-rewound engine must not
 	// allocate on the stepping path.
@@ -144,10 +148,10 @@ func TestWriteEngineBenchRoundTrips(t *testing.T) {
 }
 
 // suiteDocs returns one baseline document per suite, each holding a
-// row that suite records.
+// row that suite records, with reps spread ±4% about the median.
 func suiteDocs() []*Doc {
 	row := func(name string, ns float64) Row {
-		return Row{Name: name, NsPerStep: []float64{ns * 1.3, ns, ns * 1.1}}
+		return Row{Name: name, NsPerStep: []float64{ns * 1.04, ns, ns * 0.97, ns * 1.02, ns * 0.96}}
 	}
 	return []*Doc{
 		{Suite: "engine", Scale: 2, Rows: []Row{
@@ -174,17 +178,31 @@ func scaled(d *Doc, f float64) *Doc {
 	return &c
 }
 
+// TestCompareCommitted holds the committed engine recording to the
+// gate: it passes against itself and fails 30% slower.
+func TestCompareCommitted(t *testing.T) {
+	base, err := Read(filepath.Join("..", "..", "BENCH_engine.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compare(base, base, 0.10); err != nil {
+		t.Errorf("the recording tripped the gate against itself: %v", err)
+	}
+	if _, err := Compare(base, scaled(base, 1.3), 0.10); err == nil {
+		t.Error("the recording 30% slower did not trip the 10% gate")
+	}
+}
+
 func TestCompare(t *testing.T) {
 	for _, base := range suiteDocs() {
 		t.Run(base.Suite, func(t *testing.T) {
 			if w, err := Compare(base, scaled(base, 1.08), 0.10); err != nil || len(w) != 0 {
 				t.Errorf("8%% slower tripped the gate: %v (warnings %v)", err, w)
 			}
-			if _, err := Compare(base, scaled(base, 1.2), 0.10); err == nil {
-				t.Error("20% regression did not trip the 10% gate")
+			if _, err := Compare(base, scaled(base, 1.15), 0.10); err == nil {
+				t.Error("15% regression did not trip the 10% gate")
 			}
-			// Only the fastest rep counts: a slow outlier rep is not a
-			// regression.
+			// The median counts: a slow outlier rep is not a regression.
 			cur := scaled(base, 1)
 			for i := range cur.Rows {
 				if len(cur.Rows[i].NsPerStep) > 0 {
