@@ -46,7 +46,7 @@ func main() {
 		benchSuite = flag.String("bench", "", "run a benchmark suite (engine|dynamic|obs), write its BENCH json to -bench-out, fail if a gated row allocates, and exit")
 		benchOut   = flag.String("bench-out", "", "file the -bench document is written to")
 		benchScale = flag.Int("bench-scale", 1, "benchmark scale: 1 = quick, 2 = full")
-		benchBase  = flag.String("bench-baseline", "", "fail on a >10% regression of any row's fastest ns/step against this committed BENCH json of the same suite and scale")
+		benchBase  = flag.String("bench-baseline", "", "fail when any row's median ns/step is, by the lower bound of its 95% bootstrap interval, >10% above the median of this committed BENCH json of the same suite and scale")
 
 		campaignOut       = flag.String("campaign", "", "run an experiment campaign, write its result document (CAMPAIGN json) to this file and exit (see docs/CAMPAIGNS.md)")
 		campaignGrid      = flag.String("campaign-grid", "smoke", "named campaign grid: smoke|full")
@@ -179,7 +179,7 @@ func runBench(suite, out string, scale int, baseline string) {
 		if len(r.NsPerStep) == 0 {
 			continue
 		}
-		fmt.Printf("  %s: %.0f ns/step, %.4f allocs/step\n", r.Name, r.Best(), r.AllocsPerStep)
+		fmt.Printf("  %s: %.0f ns/step, %.4f allocs/step\n", r.Name, r.Median(), r.AllocsPerStep)
 	}
 	fatal(bench.CheckStrictAllocs(d))
 	if baseline != "" {

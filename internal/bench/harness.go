@@ -51,16 +51,12 @@ type Row struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Best is the fastest rep's ns/step, or 0 for a row without samples.
-func (r Row) Best() float64 {
+// Median is the median rep's ns/step, or 0 for a row without samples.
+func (r Row) Median() float64 {
 	if len(r.NsPerStep) == 0 {
 		return 0
 	}
-	best := r.NsPerStep[0]
-	for _, s := range r.NsPerStep[1:] {
-		best = min(best, s)
-	}
-	return best
+	return stats.QuantileUnsorted(r.NsPerStep, 0.5)
 }
 
 // MedianCI is the 95% percentile-bootstrap interval of the median rep's
@@ -557,7 +553,7 @@ func (p *summingProbe) OnPhase(*obs.StepStats) { p.phases++ }
 // engine with nothing attached ("disabled", gated at 0 allocs/step), an
 // obs.Collector feeding a summing probe ("probe"), and additionally a
 // 4096-event lifecycle ring ("probe+lifecycle"). overhead_pct relates
-// each mode's fastest rep to the disabled row's.
+// each mode's median rep to the disabled row's.
 func runObsSuite(d *Doc) error {
 	cases := engineCases(d.Scale)
 	for _, c := range []engineCase{cases[0], cases[2]} {
@@ -587,9 +583,9 @@ func runObsSuite(d *Doc) error {
 			}
 			row.Gated = m.attach == nil
 			if row.Gated {
-				base = row.Best()
+				base = row.Median()
 			} else if base > 0 {
-				row.Metrics["overhead_pct"] = 100 * (row.Best() - base) / base
+				row.Metrics["overhead_pct"] = 100 * (row.Median() - base) / base
 			}
 			d.Rows = append(d.Rows, row)
 		}
@@ -652,7 +648,7 @@ func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
 		if !ok || len(b.NsPerStep) == 0 || len(r.NsPerStep) == 0 {
 			continue
 		}
-		old, cur := stats.QuantileUnsorted(b.NsPerStep, 0.5), r.MedianCI()
+		old, cur := b.Median(), r.MedianCI()
 		if cur.Lo > old*(1+tolerance) {
 			return nil, fmt.Errorf("bench: regression on %s: median %.2f ns/step (95%% interval %.2f-%.2f) vs baseline median %.2f (+%.1f%%, tolerance %.0f%%)",
 				r.Name, cur.Estimate, cur.Lo, cur.Hi, old, 100*(cur.Lo/old-1), 100*tolerance)
