@@ -8,36 +8,28 @@ import (
 	"hotpotato/internal/workload"
 )
 
-// configuredTrace is the differential harness's run: like fullTrace,
-// but with the injection path selectable. With legacy set the engine is
-// rewound onto the pre-release-queue full pending sweep (the legacy
-// layout of injection state) before running.
-func configuredTrace(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, legacy bool, fm sim.FaultModel) (sim.Metrics, string) {
+// injectionTrace runs the case to completion under fault model fm (nil
+// for none) and returns its metrics and full trace. With planned false
+// the router runs behind a recorder that hides its InjectionPlanner
+// bound, so the engine sweeps every pending packet each step instead
+// of releasing them from its schedule.
+func injectionTrace(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, planned bool, fm sim.FaultModel) (sim.Metrics, string) {
 	tb.Helper()
 	router, rec := wrapRecorder(mk())
-	e := sim.NewEngine(p, router, seed)
-	if fm != nil {
-		e.Faults = fm
+	if !planned {
+		rec = newRecorder(rec.inner)
+		router = rec
 	}
-	if legacy {
-		sim.SetLegacyInjectForTest(e, true)
-		e.Reset(seed)
-	}
-	if _, done := e.Run(100000); !done {
-		tb.Fatalf("run did not complete")
-	}
-	return e.M, finalTrace(e, rec)
+	return recordedTrace(tb, p, router, rec, seed, fm)
 }
 
-// TestDifferentialInjectionTraces is the SoA-vs-legacy differential
-// harness: across the golden matrix (topology x router x faults) the
-// release-queue injection path and the legacy full pending
-// sweep must commit byte-identical router-visible traces and metrics.
-// The engine's other SoA structures (flat occupancy, path windows,
-// preselected-node arrays) are shared by both runs and pinned
-// separately by the golden digests; this harness isolates the one axis
-// where a legacy layout still exists to diff against. Runs under -race
-// in CI alongside the reset and idle-skip determinism tests.
+// TestDifferentialInjectionTraces: across the golden matrix (topology x
+// router x faults) the release-queue injection path and the full
+// pending sweep of the same router with its InjectStep bound hidden
+// must commit byte-identical router-visible traces and metrics. The
+// golden digests pin both paths (the "/unplanned" rows); this test
+// shows where they part. Runs under -race in CI alongside the reset
+// and idle-skip determinism tests.
 func TestDifferentialInjectionTraces(t *testing.T) {
 	for pname, p := range matrixProblems(t) {
 		for rname, mk := range goldenRouters(p) {
@@ -50,16 +42,15 @@ func TestDifferentialInjectionTraces(t *testing.T) {
 				faultModels["/faulted"] = goldenCampaign.Model(p.G, seed)
 			}
 			for suffix, fm := range faultModels {
-				fm := fm
 				key := fmt.Sprintf("%s/%s/seed=%d%s", pname, rname, seed, suffix)
 				t.Run(key, func(t *testing.T) {
-					refM, refTr := configuredTrace(t, p, mk, seed, false, fm)
-					m, tr := configuredTrace(t, p, mk, seed, true, fm)
+					refM, refTr := injectionTrace(t, p, mk, seed, true, fm)
+					m, tr := injectionTrace(t, p, mk, seed, false, fm)
 					if m != refM {
-						t.Errorf("legacy: metrics diverge from the release queue:\n got %+v\nwant %+v", m, refM)
+						t.Errorf("full sweep: metrics diverge from the release queue:\n got %+v\nwant %+v", m, refM)
 					}
 					if tr != refTr {
-						t.Errorf("legacy: trace diverges from the release queue (%d vs %d bytes)", len(tr), len(refTr))
+						t.Errorf("full sweep: trace diverges from the release queue (%d vs %d bytes)", len(tr), len(refTr))
 					}
 				})
 			}

@@ -437,6 +437,9 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 		}
 	}
 	e.pathUnit = maxLen + 8
+	if p.N()*e.pathUnit >= 1<<30 {
+		panic("sim: path arena exceeds the engine's int32 offsets")
+	}
 	e.pathEdges = make([]graph.EdgeID, p.N()*e.pathUnit)
 	e.pathSlots = make([]int32, len(e.pathEdges))
 	e.pathLo = make([]int32, p.N())
@@ -485,7 +488,6 @@ func (e *Engine) Reset(seed int64) {
 	e.pathEnd = len(e.Packets) * e.pathUnit
 	for i := range e.Packets {
 		p := &e.Packets[i]
-		e.pathLo[i] = int32(i * e.pathUnit)
 		*p = Packet{
 			ID:          PacketID(i),
 			Cur:         graph.NoNode,
@@ -689,6 +691,9 @@ func (e *Engine) growPath(p *Packet) {
 	n := len(p.PathList)
 	size := 2*n + 8
 	if e.pathEnd+size > len(e.pathEdges) {
+		if e.pathEnd+size >= 1<<31 {
+			panic("sim: path arena exceeds the engine's int32 offsets")
+		}
 		edges := make([]graph.EdgeID, len(e.pathEdges)+len(e.pathEdges)/4+size)
 		slots := make([]int32, len(edges))
 		copy(edges, e.pathEdges[:e.pathEnd])

@@ -35,21 +35,13 @@ func goldenRouters(p *workload.Problem) map[string]func() sim.Router {
 
 var goldenSeeds = []int64{3, 42}
 
-// traceDigest runs the case and hashes the full router-visible trace
-// (every sequential callback plus the final per-packet state) together
-// with the engine metrics — the byte-exact identity of a run. A nil
-// fault model runs the case unfaulted. With planned false the router
-// runs behind a recorder that hides its InjectionPlanner bound, so the
-// engine sweeps every pending packet each step instead of releasing
-// them from its schedule.
+// traceDigest runs the case (see injectionTrace) and hashes the full
+// router-visible trace (every sequential callback plus the final
+// per-packet state) together with the engine metrics — the byte-exact
+// identity of a run.
 func traceDigest(tb testing.TB, p *workload.Problem, mk func() sim.Router, seed int64, planned bool, fm sim.FaultModel) string {
 	tb.Helper()
-	router, rec := wrapRecorder(mk())
-	if !planned {
-		rec = newRecorder(rec.inner)
-		router = rec
-	}
-	m, tr := recordedTrace(tb, p, router, rec, seed, fm)
+	m, tr := injectionTrace(tb, p, mk, seed, planned, fm)
 	h := sha256.New()
 	fmt.Fprintf(h, "%+v\n", m)
 	h.Write([]byte(tr))

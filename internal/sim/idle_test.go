@@ -35,10 +35,14 @@ const idleBudget = 1 << 20
 
 // newIdleEngine builds an engine for the spaced planner on the butterfly
 // matrix problem (64 packets, so 32 releases across about 3200 steps).
-func newIdleEngine(tb testing.TB, seed int64) (*sim.Engine, *spacedPlanner, *recorder) {
+// With planned false the recorder hides the planner's InjectStep.
+func newIdleEngine(tb testing.TB, seed int64, planned bool) (*sim.Engine, *spacedPlanner, *recorder) {
 	tb.Helper()
 	sp := &spacedPlanner{Greedy: baselines.NewGreedy()}
 	router, rec := wrapRecorder(sp)
+	if !planned {
+		router = rec
+	}
 	e := sim.NewEngine(idleProblem(tb), router, seed)
 	return e, sp, rec
 }
@@ -52,7 +56,7 @@ func idleProblem(tb testing.TB) *workload.Problem {
 // full trace and executed step count.
 func idleReference(t *testing.T, seed int64) (sim.Metrics, string, int) {
 	t.Helper()
-	e, sp, rec := newIdleEngine(t, seed)
+	e, sp, rec := newIdleEngine(t, seed, true)
 	if _, done := e.Run(idleBudget); !done {
 		t.Fatal("reference run did not complete")
 	}
@@ -73,8 +77,9 @@ func TestIdleSkipEngages(t *testing.T) {
 }
 
 // TestIdleSkipDisabledByHooks: an observer, probe or event sink must
-// see every step, so each disables the fast-forward — EndStep runs once
-// per simulated step — and the run is otherwise identical to the
+// see every step, and a router without an InjectStep bound has no
+// release schedule, so each disables the fast-forward — EndStep runs
+// once per simulated step — and the run is otherwise identical to the
 // skipping one.
 func TestIdleSkipDisabledByHooks(t *testing.T) {
 	const seed = 3
@@ -86,10 +91,13 @@ func TestIdleSkipDisabledByHooks(t *testing.T) {
 		{"observer", func(e *sim.Engine) { e.AddObserver(func(int, *sim.Engine) {}) }},
 		{"probe", func(e *sim.Engine) { e.AttachProbe(nopProbe{}) }},
 		{"events", func(e *sim.Engine) { e.AttachEventSink(nopSink{}) }},
+		{"unplanned", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, sp, rec := newIdleEngine(t, seed)
-			tc.attach(e)
+			e, sp, rec := newIdleEngine(t, seed, tc.attach != nil)
+			if tc.attach != nil {
+				tc.attach(e)
+			}
 			sp.endSteps = 0
 			if _, done := e.Run(idleBudget); !done {
 				t.Fatal("run did not complete")
@@ -119,7 +127,7 @@ func (nopSink) RecordEvent(int, sim.PacketID, sim.EventKind, int32) {}
 // stops the clock exactly there — Run reports (maxSteps, false) and
 // Metrics.Steps counts the skipped steps.
 func TestIdleSkipRunStopsInGap(t *testing.T) {
-	e, sp, _ := newIdleEngine(t, 3)
+	e, sp, _ := newIdleEngine(t, 3, true)
 	const stop = 2*idleGap + idleGap/2
 	steps, done := e.Run(stop)
 	if steps != stop || done {
@@ -143,7 +151,7 @@ func TestIdleSkipSplitRunMatchesSingle(t *testing.T) {
 	const seed = 5
 	wantM, wantTr, _ := idleReference(t, seed)
 	for _, k := range []int{1, 3, idleGap / 2, idleGap - 1, idleGap, idleGap + 1, idleGap + 3, 10*idleGap + 50} {
-		e, _, rec := newIdleEngine(t, seed)
+		e, _, rec := newIdleEngine(t, seed, true)
 		e.Run(k)
 		if _, done := e.Run(idleBudget); !done {
 			t.Fatalf("k=%d: split run did not complete", k)
@@ -162,7 +170,7 @@ func TestIdleSkipSplitRunMatchesSingle(t *testing.T) {
 func TestIdleSkipResetMidGap(t *testing.T) {
 	const seed = 7
 	wantM, wantTr, wantExecuted := idleReference(t, seed)
-	e, sp, rec := newIdleEngine(t, 11)
+	e, sp, rec := newIdleEngine(t, 11, true)
 	e.Run(4*idleGap + idleGap/2)
 	e.Reset(seed)
 	if e.Now() != 0 || e.M.Steps != 0 {
