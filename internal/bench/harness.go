@@ -181,7 +181,7 @@ func measure(name string, run func() (pass, error)) (Row, error) {
 	steady := 0.0
 	var tot pass
 	passes := 0
-	for rep := 0; rep < benchReps || rep < benchMaxReps && wideCI(row); rep++ {
+	for rep := 0; rep < benchReps || (rep < benchMaxReps && wideCI(row)); rep++ {
 		tot, passes = pass{}, 0
 		runtime.GC()
 		var before, after runtime.MemStats

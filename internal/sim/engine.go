@@ -633,7 +633,7 @@ func (e *Engine) idleUntil(maxSteps int) int {
 // the occupied count, one memclr over the 2-byte count arena (and the
 // covering occBits words) clears the whole range at cache-line width —
 // 32 counts per line, no scattered read-modify-write — which is how a
-// dense window beats the per-node walk; otherwise (sparse occupancy
+// dense range beats the per-node walk; otherwise (sparse occupancy
 // across a wide range) the scattered per-node clear touches exactly the
 // dirty entries. Nodes outside the range hold no packet, so zeroing the
 // already-zero remainder is free.
