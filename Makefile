@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short bench experiments figures selfcheck cover fuzz clean
+.PHONY: all build vet test test-short bench experiments figures cover fuzz clean
 
 all: build vet test
 
@@ -29,9 +29,6 @@ experiments:
 figures:
 	$(GO) run ./cmd/figures -out figs
 
-selfcheck:
-	$(GO) run ./cmd/selfcheck
-
 cover:
 	$(GO) test -cover ./...
 
@@ -56,5 +53,4 @@ fuzz:
 	$(GO) test -fuzz FuzzSummarize -fuzztime 30s -fuzzminimizetime 2s ./internal/stats/
 
 clean:
-	rm -rf figs
 	$(GO) clean -testcache

@@ -39,6 +39,8 @@ func TestAllTopologiesThroughFacade(t *testing.T) {
 		{"butterfly", func() (*hotpotato.Network, error) { return hotpotato.Butterfly(3) }},
 		{"mesh", func() (*hotpotato.Network, error) { return hotpotato.Mesh(4, 4, hotpotato.CornerSE) }},
 		{"hypercube", func() (*hotpotato.Network, error) { return hotpotato.Hypercube(4) }},
+		{"omega", func() (*hotpotato.Network, error) { return hotpotato.Omega(5) }},
+		{"benes", func() (*hotpotato.Network, error) { return hotpotato.Benes(4) }},
 		{"array", func() (*hotpotato.Network, error) { return hotpotato.Array(3, 3) }},
 		{"bintree", func() (*hotpotato.Network, error) { return hotpotato.BinaryTree(3) }},
 		{"fattree", func() (*hotpotato.Network, error) { return hotpotato.FatTree(3, 2) }},
@@ -88,6 +90,10 @@ func TestAllBaselinesThroughFacade(t *testing.T) {
 		sf := res.SF != nil
 		if hp == sf {
 			t.Errorf("%s: exactly one of HP/SF metrics must be set", kind)
+		}
+		// Greedy deflects only onto safe edges (Lemma 2.1).
+		if kind == hotpotato.GreedyHP && res.HP.UnsafeDeflections() != 0 {
+			t.Errorf("%s: %d unsafe deflections", kind, res.HP.UnsafeDeflections())
 		}
 		for i, lat := range res.PerPacketLatency {
 			if lat < 0 {

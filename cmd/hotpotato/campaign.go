@@ -25,9 +25,11 @@ type campaignConfig struct {
 // grid, run (or resume) it, write the document, and gate against the
 // committed baseline. A -campaign-stop-after interrupt exits 0 — it is
 // the CI kill half of the kill-and-resume cycle, not a failure.
-func runCampaign(cfg campaignConfig) {
+func runCampaign(cfg campaignConfig) error {
 	spec, err := campaign.Grid(cfg.grid)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	if cfg.trials > 0 {
 		spec.Trials = cfg.trials
 	}
@@ -45,47 +47,63 @@ func runCampaign(cfg campaignConfig) {
 	}
 	if cfg.stream != "" {
 		f, err := os.Create(cfg.stream)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		defer f.Close()
 		rc.Stream = f
 	}
 
 	cells, err := spec.Cells()
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("campaign %s: %d cells (trials=%d, spec %s)\n",
 		spec.Name, len(cells), spec.Trials, spec.Fingerprint())
 
 	doc, err := campaign.Run(spec, rc)
 	if errors.Is(err, campaign.ErrStopped) {
 		if cfg.checkpoint == "" {
-			fatal(fmt.Errorf("campaign stopped without a checkpoint; progress lost (use -campaign-checkpoint)"))
+			return fmt.Errorf("campaign stopped without a checkpoint; progress lost (use -campaign-checkpoint)")
 		}
 		fmt.Printf("campaign %s: interrupted; progress checkpointed to %s (rerun to resume)\n",
 			spec.Name, cfg.checkpoint)
-		return
+		return nil
 	}
-	fatal(err)
+	if err != nil {
+		return err
+	}
 
 	f, err := os.Create(cfg.out)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	err = campaign.WriteDocument(f, doc)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("wrote campaign document to %s (%d cells)\n", cfg.out, len(doc.Cells))
 	if doc.Fit != nil {
 		fmt.Printf("scaling fit: %s\n", doc.Fit)
 	}
 
-	if cfg.baseline != "" {
-		base, err := campaign.LoadDocument(cfg.baseline)
-		fatal(err)
-		warnings, err := campaign.CompareCampaign(base, doc, campaign.Tolerances{})
-		for _, w := range warnings {
-			fmt.Printf("warning: %s\n", w)
-		}
-		fatal(err)
-		fmt.Printf("campaign distribution gate passed vs %s\n", cfg.baseline)
+	if cfg.baseline == "" {
+		return nil
 	}
+	base, err := campaign.LoadDocument(cfg.baseline)
+	if err != nil {
+		return err
+	}
+	warnings, err := campaign.CompareCampaign(base, doc, campaign.Tolerances{})
+	for _, w := range warnings {
+		fmt.Printf("warning: %s\n", w)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("campaign distribution gate passed vs %s\n", cfg.baseline)
+	return nil
 }

@@ -23,6 +23,15 @@ import (
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "hotpotato:", err)
+		os.Exit(1)
+	}
+}
+
+// run does all of main's work and returns its failure, so the deferred
+// profile writes still happen on a failing run.
+func run() (err error) {
 	var (
 		topoName = flag.String("topo", "butterfly", "topology: butterfly|mesh|hypercube|linear|random")
 		size     = flag.Int("size", 6, "topology size (butterfly/hypercube dimension, mesh side)")
@@ -67,30 +76,33 @@ func main() {
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
-		fatal(err)
-		fatal(pprof.StartCPUProfile(f))
-		defer f.Close()
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
 		defer func() {
-			f, err := os.Create(*memProfile)
-			fatal(err)
-			runtime.GC()
-			err = pprof.WriteHeapProfile(f)
+			pprof.StopCPUProfile()
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
-			fatal(err)
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if werr := writeHeapProfile(*memProfile); err == nil {
+				err = werr
+			}
 		}()
 	}
 
 	if *benchSuite != "" {
-		runBench(*benchSuite, *benchOut, *benchScale, *benchBase)
-		return
+		return runBench(*benchSuite, *benchOut, *benchScale, *benchBase)
 	}
 	if *campaignOut != "" {
-		runCampaign(campaignConfig{
+		return runCampaign(campaignConfig{
 			out:        *campaignOut,
 			grid:       *campaignGrid,
 			checkpoint: *campaignCkpt,
@@ -101,31 +113,41 @@ func main() {
 			stream:     *campaignStream,
 			baseline:   *campaignBase,
 		})
-		return
 	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var prob *hotpotato.Problem
 	if *loadFrom != "" {
 		f, err := os.Open(*loadFrom)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		prob, err = hotpotato.LoadProblem(f)
 		f.Close()
-		fatal(err)
+		if err != nil {
+			return err
+		}
 	} else {
 		net, err := buildTopo(*topoName, *size, *depth, rng)
-		fatal(err)
-		prob, err = buildWorkload(*wl, net, rng, *packets, *spots, *density, *size)
-		fatal(err)
+		if err != nil {
+			return err
+		}
+		if prob, err = buildWorkload(*wl, net, rng, *packets, *spots, *density, *size); err != nil {
+			return err
+		}
 	}
 	if *saveTo != "" {
 		f, err := os.Create(*saveTo)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		err = hotpotato.SaveProblem(f, prob)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("saved problem to %s\n", *saveTo)
 	}
 
@@ -142,34 +164,59 @@ func main() {
 	}
 
 	campaign, err := hotpotato.ParseFaults(*faultStr)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	if campaign != nil {
 		fmt.Printf("fault campaign: %s\n", campaign.Name())
 	}
 
 	ob := obsConfig{out: *obsOut, every: *obsEvery, eventsOut: *eventsOut, eventsCap: *eventsCap}
-	runOne(prob, *algo, *seed, *check, *profile, campaign, ob)
+	if err := runOne(prob, *algo, *seed, *check, *profile, campaign, ob); err != nil {
+		return err
+	}
 	if *compare {
 		for _, k := range []string{"frame", "greedy-hp", "greedy-ftg", "greedy-oldest", "rand-greedy-hp", "sf-fifo", "sf-randdelay", "sf-farthest"} {
 			if k == *algo {
 				continue
 			}
-			runOne(prob, k, *seed, false, false, campaign, obsConfig{})
+			if err := runOne(prob, k, *seed, false, false, campaign, obsConfig{}); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// writeHeapProfile writes a heap profile, after a GC, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	err = pprof.WriteHeapProfile(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // runBench records a benchmark suite, writes it to out, then applies
 // the gates: 0 allocs/step on gated rows and the regression gate
 // against baseline when given. The document is written before gating so
 // a failed run still leaves its figures behind.
-func runBench(suite, out string, scale int, baseline string) {
+func runBench(suite, out string, scale int, baseline string) error {
 	if out == "" {
-		fatal(fmt.Errorf("-bench needs -bench-out"))
+		return fmt.Errorf("-bench needs -bench-out")
 	}
 	d, err := bench.Run(suite, scale)
-	fatal(err)
-	fatal(bench.Write(out, d))
+	if err != nil {
+		return err
+	}
+	if err := bench.Write(out, d); err != nil {
+		return err
+	}
 	fmt.Printf("wrote %s benchmark to %s (gomaxprocs=%d", suite, out, d.GOMAXPROCS)
 	if d.CPUModel != "" {
 		fmt.Printf(", cpu=%s", d.CPUModel)
@@ -181,17 +228,25 @@ func runBench(suite, out string, scale int, baseline string) {
 		}
 		fmt.Printf("  %s: %.0f ns/step, %.4f allocs/step\n", r.Name, r.Median(), r.AllocsPerStep)
 	}
-	fatal(bench.CheckStrictAllocs(d))
-	if baseline != "" {
-		base, err := bench.Read(baseline)
-		fatal(err)
-		warnings, err := bench.Compare(base, d, 0.10)
-		for _, w := range warnings {
-			fmt.Printf("warning: %s\n", w)
-		}
-		fatal(err)
-		fmt.Printf("benchmark regression gate passed vs %s\n", baseline)
+	if err := bench.CheckStrictAllocs(d); err != nil {
+		return err
 	}
+	if baseline == "" {
+		return nil
+	}
+	base, err := bench.Read(baseline)
+	if err != nil {
+		return err
+	}
+	warnings, err := bench.Compare(base, d, 0.10)
+	for _, w := range warnings {
+		fmt.Printf("warning: %s\n", w)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("benchmark regression gate passed vs %s\n", baseline)
+	return nil
 }
 
 // obsConfig carries the -obs* flags into runOne.
@@ -219,10 +274,12 @@ func (ob obsConfig) attach(opts *hotpotato.Options) (*hotpotato.TimeSeries, *hot
 }
 
 // write exports the collected series/events to the configured files.
-func (ob obsConfig) write(ts *hotpotato.TimeSeries, ring *hotpotato.Lifecycle) {
+func (ob obsConfig) write(ts *hotpotato.TimeSeries, ring *hotpotato.Lifecycle) error {
 	if ts != nil {
 		f, err := os.Create(ob.out)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		if strings.HasSuffix(ob.out, ".json") {
 			err = ts.WriteJSON(f)
 		} else {
@@ -235,27 +292,33 @@ func (ob obsConfig) write(ts *hotpotato.TimeSeries, ring *hotpotato.Lifecycle) {
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("wrote observability series to %s (%d step, %d round, %d phase rows)\n",
 			ob.out, len(ts.Steps), len(ts.Rounds), len(ts.Phases))
 	}
 	if ring != nil {
 		f, err := os.Create(ob.eventsOut)
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		err = ring.WriteCSV(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		fatal(err)
+		if err != nil {
+			return err
+		}
 		fmt.Printf("wrote %d lifecycle events to %s (%d overwritten)\n",
 			ring.Len(), ob.eventsOut, ring.Dropped())
 	}
+	return nil
 }
 
-func runOne(prob *hotpotato.Problem, algo string, seed int64, check, profile bool, campaign hotpotato.FaultCampaign, ob obsConfig) {
+func runOne(prob *hotpotato.Problem, algo string, seed int64, check, profile bool, campaign hotpotato.FaultCampaign, ob obsConfig) error {
 	opts := hotpotato.Options{Seed: seed, Faults: campaign}
 	ts, ring := ob.attach(&opts)
-	defer ob.write(ts, ring)
 	if algo == "frame" {
 		params := hotpotato.PracticalParams(prob.C, prob.L(), prob.N())
 		fmt.Printf("frame parameters: %s (schedule bound %d steps)\n", params, params.TotalSteps(prob.L()))
@@ -277,10 +340,12 @@ func runOne(prob *hotpotato.Problem, algo string, seed int64, check, profile boo
 				fmt.Printf("    %4d: +%-4d -%-4d =%-4d w%-4d\n", ph.Phase, ph.Injected, ph.Absorbed, ph.Active, ph.Waiting)
 			}
 		}
-		return
+		return ob.write(ts, ring)
 	}
 	res, err := hotpotato.RouteBaseline(prob, hotpotato.BaselineKind(algo), opts)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%s", res)
 	if res.HP != nil {
 		fmt.Printf("  deflections=%d (unsafe %d)", res.HP.TotalDeflections(), res.HP.UnsafeDeflections())
@@ -292,6 +357,7 @@ func runOne(prob *hotpotato.Problem, algo string, seed int64, check, profile boo
 		fmt.Printf("  max-queue=%d queue-delay=%d", res.SF.MaxQueueLen, res.SF.QueueDelay)
 	}
 	fmt.Println()
+	return ob.write(ts, ring)
 }
 
 func buildTopo(name string, size, depth int, rng *rand.Rand) (*hotpotato.Network, error) {
@@ -345,11 +411,4 @@ func singleFile(net *hotpotato.Network, k int) (*hotpotato.Problem, error) {
 		reqs = append(reqs, hotpotato.Request{Src: net.Level(i)[0], Dst: dst})
 	}
 	return hotpotato.CustomWorkload("singlefile", net, rand.New(rand.NewSource(0)), reqs)
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hotpotato:", err)
-		os.Exit(1)
-	}
 }

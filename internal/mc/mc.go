@@ -285,32 +285,6 @@ func (e *Ensemble) PaperSuccessBound() float64 {
 	return 1 - 1/ln
 }
 
-// StepsSummary summarizes completion steps over successful trials.
-func (e *Ensemble) StepsSummary() stats.Summary {
-	var xs []float64
-	for _, t := range e.Trials {
-		if t.Done {
-			xs = append(xs, float64(t.Steps))
-		}
-	}
-	return stats.Summarize(xs)
-}
-
-// ViolationRate returns the fraction of checked trials with at least
-// one Ic/Id/If violation.
-func (e *Ensemble) ViolationRate() float64 {
-	if len(e.Trials) == 0 {
-		return 0
-	}
-	v := 0
-	for _, t := range e.Trials {
-		if t.Violations > 0 {
-			v++
-		}
-	}
-	return float64(v) / float64(len(e.Trials))
-}
-
 // TotalUnsafe sums unsafe deflections across all trials (Lemma 2.1
 // predicts zero).
 func (e *Ensemble) TotalUnsafe() int {

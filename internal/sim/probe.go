@@ -180,7 +180,7 @@ func (p sinkPair) RecordEvent(t int, pid PacketID, kind EventKind, arg int32) {
 
 // chainProbe composes probes: nil + p = p, existing + p = fan-out in
 // attachment order. Attaching must never silently drop an earlier
-// probe (the composability contract trace.Recorder relies on).
+// probe (the composability contract obs.Collector relies on).
 func chainProbe(cur, p Probe) Probe {
 	if cur == nil {
 		return p

@@ -1,16 +1,12 @@
 package trace
 
 import (
-	"fmt"
-	"io"
-	"strings"
-
 	"hotpotato/internal/graph"
 	"hotpotato/internal/sim"
 )
 
 // PacketTracer records per-packet trajectories: the level of each
-// tracked packet at every sampled step, plus its lifecycle events. For
+// tracked packet at every sampled step. For
 // all packets pass nil ids; for a subset pass their IDs (full traces of
 // large runs are memory-hungry).
 type PacketTracer struct {
@@ -72,29 +68,6 @@ func (t *PacketTracer) observe(step int, e *sim.Engine) {
 	t.byStep = append(t.byStep, s)
 }
 
-// Samples returns the number of recorded samples.
-func (t *PacketTracer) Samples() int { return len(t.byStep) }
-
-// WriteCSV emits step-by-step levels: step, then one column per tracked
-// packet (-1 when not active).
-func (t *PacketTracer) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("step")
-	for _, id := range t.tracked {
-		fmt.Fprintf(&b, ",p%d", id)
-	}
-	b.WriteByte('\n')
-	for _, s := range t.byStep {
-		fmt.Fprintf(&b, "%d", s.step)
-		for _, id := range t.tracked {
-			fmt.Fprintf(&b, ",%d", s.levels[id])
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // Series exports the recorded trajectories as one level-row per
 // tracked packet (-1 = not active) plus a sample-index-to-step mapper,
 // the input shape of svg.RenderTimeSpace.
@@ -112,26 +85,6 @@ func (t *PacketTracer) Series() ([][]int8, func(int) int) {
 		steps[i] = s.step
 	}
 	return out, func(i int) int { return steps[i] }
-}
-
-// Gantt renders each tracked packet's life as a row: '.' before
-// injection/after absorption, digits for its level (mod 10) while
-// active. One column per sample.
-func (t *PacketTracer) Gantt() string {
-	var b strings.Builder
-	for _, id := range t.tracked {
-		fmt.Fprintf(&b, "p%-4d ", id)
-		for _, s := range t.byStep {
-			lvl := s.levels[id]
-			if lvl < 0 {
-				b.WriteByte('.')
-			} else {
-				b.WriteByte("0123456789"[lvl%10])
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // EdgeLoadRecorder counts traversals per edge (both directions) over a
@@ -183,21 +136,4 @@ func (r *EdgeLoadRecorder) Total() []int {
 		out[i] = r.Forward[i] + r.Backward[i]
 	}
 	return out
-}
-
-// WriteLatenciesCSV emits per-packet lifecycle facts from a finished
-// engine: id, source, destination, path length, inject, absorb,
-// latency, deflections.
-func WriteLatenciesCSV(w io.Writer, e *sim.Engine) error {
-	var b strings.Builder
-	b.WriteString("packet,src,dst,path_len,inject,absorb,latency,deflections,forward,backward\n")
-	for i := range e.Packets {
-		p := &e.Packets[i]
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			p.ID, p.Src, p.Dst, len(p.Preselected),
-			p.InjectTime, p.AbsorbTime, p.Latency(),
-			p.Deflections, p.ForwardMoves, p.BackwardMoves)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

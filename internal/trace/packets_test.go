@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
 	"hotpotato/internal/baselines"
@@ -17,28 +16,21 @@ func TestPacketTracerAll(t *testing.T) {
 	if !done {
 		t.Fatal("run did not complete")
 	}
-	if tr.Samples() != steps {
-		t.Errorf("samples = %d, steps = %d", tr.Samples(), steps)
+	rows, stepOf := tr.Series()
+	if len(rows) != p.N() {
+		t.Fatalf("rows = %d, want %d", len(rows), p.N())
 	}
-	var csv strings.Builder
-	if err := tr.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
+	for i, row := range rows {
+		if len(row) != steps {
+			t.Fatalf("row %d: %d samples, %d steps", i, len(row), steps)
+		}
+		// Every packet was absorbed, so its last sample is inactive.
+		if row[len(row)-1] != -1 {
+			t.Errorf("row %d ends at level %d, want -1", i, row[len(row)-1])
+		}
 	}
-	lines := strings.Split(strings.TrimSpace(csv.String()), "\n")
-	if len(lines) != steps+1 {
-		t.Errorf("csv lines = %d", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "step,p0") {
-		t.Errorf("header = %q", lines[0])
-	}
-	g := tr.Gantt()
-	if strings.Count(g, "\n") != p.N() {
-		t.Errorf("gantt rows = %d, want %d", strings.Count(g, "\n"), p.N())
-	}
-	// A packet that was absorbed shows '.' at the end of its row.
-	row := strings.SplitN(g, "\n", 2)[0]
-	if !strings.HasSuffix(row, ".") {
-		t.Errorf("absorbed packet row should end inactive: %q", row)
+	if stepOf(0) != 0 || stepOf(steps-1) != steps-1 {
+		t.Errorf("step mapper: 0 -> %d, %d -> %d", stepOf(0), steps-1, stepOf(steps-1))
 	}
 }
 
@@ -47,44 +39,22 @@ func TestPacketTracerSubset(t *testing.T) {
 	e := sim.NewEngine(p, baselines.NewGreedy(), 6)
 	tr := NewPacketTracer(2, []sim.PacketID{0, 2})
 	tr.Attach(e)
-	if _, done := e.Run(100000); !done {
+	steps, done := e.Run(100000)
+	if !done {
 		t.Fatal("run did not complete")
 	}
-	var csv strings.Builder
-	if err := tr.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
+	rows, stepOf := tr.Series()
+	if len(rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	header := strings.SplitN(csv.String(), "\n", 2)[0]
-	if header != "step,p0,p2" {
-		t.Errorf("header = %q", header)
+	if want := (steps + 1) / 2; len(rows[0]) != want {
+		t.Errorf("samples = %d, want %d", len(rows[0]), want)
+	}
+	if stepOf(1) != 2 {
+		t.Errorf("second sample at step %d, want 2", stepOf(1))
 	}
 	if NewPacketTracer(0, nil).Every != 1 {
 		t.Error("Every not clamped")
-	}
-}
-
-func TestWriteLatenciesCSV(t *testing.T) {
-	p := testProblem(t)
-	e := sim.NewEngine(p, baselines.NewGreedy(), 7)
-	if _, done := e.Run(100000); !done {
-		t.Fatal("run did not complete")
-	}
-	var b strings.Builder
-	if err := WriteLatenciesCSV(&b, e); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if len(lines) != p.N()+1 {
-		t.Errorf("lines = %d, want %d", len(lines), p.N()+1)
-	}
-	if !strings.HasPrefix(lines[0], "packet,src,dst") {
-		t.Errorf("header = %q", lines[0])
-	}
-	// Each data row has 10 fields.
-	for _, ln := range lines[1:] {
-		if strings.Count(ln, ",") != 9 {
-			t.Errorf("row %q has %d commas", ln, strings.Count(ln, ","))
-		}
 	}
 }
 

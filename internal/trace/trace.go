@@ -1,83 +1,17 @@
 // Package trace records and renders what a routing run looks like:
-// per-level occupancy time series, CSV export, and an ASCII rendering
-// of the frontier-frame pipeline that reproduces the paper's Figure 2.
+// per-packet level trajectories (the input of the time-space SVG),
+// per-edge traversal counts (the heat map's data), and an ASCII
+// rendering of the frontier-frame pipeline that reproduces the paper's
+// Figure 2. The per-level occupancy census and its CSV export live in
+// internal/obs (obs.TimeSeries).
 package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"hotpotato/internal/core"
-	"hotpotato/internal/sim"
 )
-
-// Snapshot is the per-level active-packet census at one step.
-type Snapshot struct {
-	Step     int
-	PerLevel []int
-	Active   int
-}
-
-// Recorder samples level occupancy from an engine every Every steps.
-// It implements sim.Probe: the census comes straight from the engine's
-// per-step snapshot (which the engine maintains from its occupied-node
-// list) rather than a full packet rescan, so a sample costs one slice
-// copy.
-type Recorder struct {
-	Every     int
-	Snapshots []Snapshot
-}
-
-// NewRecorder builds a recorder sampling every `every` steps (min 1).
-func NewRecorder(every int) *Recorder {
-	if every < 1 {
-		every = 1
-	}
-	return &Recorder{Every: every}
-}
-
-// Attach registers the recorder on an engine. Probes compose at the
-// engine (sim.Engine.AttachProbe): attaching a second recorder — or
-// any other probe — chains after the first instead of replacing it.
-// Attachments are per-run; Engine.Reset clears them, so re-attach
-// after a reset.
-func (r *Recorder) Attach(e *sim.Engine) { e.AttachProbe(r) }
-
-// OnStep implements sim.Probe.
-func (r *Recorder) OnStep(_ *sim.Engine, s *sim.StepSnapshot) {
-	if s.Step%r.Every != 0 {
-		return
-	}
-	r.Snapshots = append(r.Snapshots, Snapshot{
-		Step:     s.Step,
-		PerLevel: append([]int(nil), s.Occupancy...),
-		Active:   s.Active,
-	})
-}
-
-// WriteCSV emits the recorded series as CSV: step, active, level0..L.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	if len(r.Snapshots) == 0 {
-		_, err := fmt.Fprintln(w, "step,active")
-		return err
-	}
-	var b strings.Builder
-	b.WriteString("step,active")
-	for l := range r.Snapshots[0].PerLevel {
-		fmt.Fprintf(&b, ",l%d", l)
-	}
-	b.WriteByte('\n')
-	for _, s := range r.Snapshots {
-		fmt.Fprintf(&b, "%d,%d", s.Step, s.Active)
-		for _, c := range s.PerLevel {
-			fmt.Fprintf(&b, ",%d", c)
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
 
 // RenderFrames draws the frontier-frame pipeline at the given phase,
 // reproducing Figure 2: one row per frontier-set, columns are network
@@ -115,25 +49,6 @@ func RenderFrames(sched core.Schedule, L, phase, round int) string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
-}
-
-// RenderOccupancy draws packet counts per level as a single row of
-// digits ('.' for zero, '9'-capped counts, '*' for >=10).
-func RenderOccupancy(s Snapshot) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%-6d ", s.Step)
-	for _, c := range s.PerLevel {
-		switch {
-		case c == 0:
-			b.WriteByte('.')
-		case c < 10:
-			b.WriteByte(byte('0' + c))
-		default:
-			b.WriteByte('*')
-		}
-	}
-	fmt.Fprintf(&b, "  (%d active)", s.Active)
 	return b.String()
 }
 

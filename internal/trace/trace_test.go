@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"hotpotato/internal/baselines"
 	"hotpotato/internal/core"
-	"hotpotato/internal/sim"
 	"hotpotato/internal/topo"
 	"hotpotato/internal/workload"
 )
@@ -24,123 +22,6 @@ func testProblem(t *testing.T) *workload.Problem {
 		t.Fatal(err)
 	}
 	return p
-}
-
-func TestRecorderSamples(t *testing.T) {
-	p := testProblem(t)
-	e := sim.NewEngine(p, baselines.NewGreedy(), 2)
-	r := NewRecorder(1)
-	r.Attach(e)
-	steps, done := e.Run(100000)
-	if !done {
-		t.Fatal("run did not complete")
-	}
-	if len(r.Snapshots) != steps {
-		t.Errorf("snapshots = %d, steps = %d", len(r.Snapshots), steps)
-	}
-	// Final snapshot has no active packets... the last step absorbs the
-	// last packet, so its snapshot shows 0 active.
-	last := r.Snapshots[len(r.Snapshots)-1]
-	if last.Active != 0 {
-		t.Errorf("final active = %d", last.Active)
-	}
-	// Census adds up.
-	for _, s := range r.Snapshots {
-		sum := 0
-		for _, c := range s.PerLevel {
-			sum += c
-		}
-		if sum != s.Active {
-			t.Fatalf("snapshot %d: per-level sum %d != active %d", s.Step, sum, s.Active)
-		}
-	}
-}
-
-func TestRecorderEvery(t *testing.T) {
-	p := testProblem(t)
-	e := sim.NewEngine(p, baselines.NewGreedy(), 3)
-	r := NewRecorder(10)
-	r.Attach(e)
-	steps, _ := e.Run(100000)
-	want := (steps + 9) / 10
-	if len(r.Snapshots) != want {
-		t.Errorf("snapshots = %d, want %d", len(r.Snapshots), want)
-	}
-	if NewRecorder(0).Every != 1 {
-		t.Error("Every not clamped")
-	}
-}
-
-// TestRecorderComposes is the regression test for Attach overwriting:
-// a second attached observer must chain after the first, so both see
-// the complete identical series. (The old Recorder installed itself
-// with a raw observer slot; attaching anything else silenced it.)
-func TestRecorderComposes(t *testing.T) {
-	p := testProblem(t)
-	e := sim.NewEngine(p, baselines.NewGreedy(), 2)
-	r1, r2 := NewRecorder(1), NewRecorder(1)
-	r1.Attach(e)
-	r2.Attach(e)
-	steps, done := e.Run(100000)
-	if !done {
-		t.Fatal("run did not complete")
-	}
-	if len(r1.Snapshots) != steps {
-		t.Fatalf("first recorder: %d snapshots, %d steps — second attach silenced it", len(r1.Snapshots), steps)
-	}
-	if len(r2.Snapshots) != steps {
-		t.Fatalf("second recorder: %d snapshots, %d steps", len(r2.Snapshots), steps)
-	}
-	for i := range r1.Snapshots {
-		a, b := r1.Snapshots[i], r2.Snapshots[i]
-		if a.Step != b.Step || a.Active != b.Active {
-			t.Fatalf("snapshot %d differs between chained recorders: %+v vs %+v", i, a, b)
-		}
-		for l := range a.PerLevel {
-			if a.PerLevel[l] != b.PerLevel[l] {
-				t.Fatalf("snapshot %d level %d differs: %d vs %d", i, l, a.PerLevel[l], b.PerLevel[l])
-			}
-		}
-	}
-
-	// Attachments are per-run: Reset clears them, so a re-run without
-	// re-attaching records nothing new.
-	before := len(r1.Snapshots)
-	e.Reset(2)
-	if _, done := e.Run(100000); !done {
-		t.Fatal("re-run did not complete")
-	}
-	if len(r1.Snapshots) != before {
-		t.Errorf("recorder kept sampling after Reset: %d -> %d snapshots", before, len(r1.Snapshots))
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	p := testProblem(t)
-	e := sim.NewEngine(p, baselines.NewGreedy(), 4)
-	r := NewRecorder(5)
-	r.Attach(e)
-	e.Run(100000)
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != len(r.Snapshots)+1 {
-		t.Errorf("csv lines = %d, want %d", len(lines), len(r.Snapshots)+1)
-	}
-	if !strings.HasPrefix(lines[0], "step,active,l0,") {
-		t.Errorf("header = %q", lines[0])
-	}
-	// Empty recorder still writes a header.
-	var eb strings.Builder
-	if err := NewRecorder(1).WriteCSV(&eb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(eb.String(), "step") {
-		t.Error("empty CSV lacks header")
-	}
 }
 
 func TestRenderFrames(t *testing.T) {
@@ -191,17 +72,6 @@ func TestRenderFramesSkipsOffscreen(t *testing.T) {
 	out := RenderFrames(sched, 10, 0, 0)
 	if strings.Contains(out, "frame 1") || strings.Contains(out, "frame 2") {
 		t.Errorf("offscreen frames rendered:\n%s", out)
-	}
-}
-
-func TestRenderOccupancy(t *testing.T) {
-	s := Snapshot{Step: 7, PerLevel: []int{0, 3, 12}, Active: 15}
-	out := RenderOccupancy(s)
-	if !strings.Contains(out, ".3*") {
-		t.Errorf("occupancy render = %q", out)
-	}
-	if !strings.Contains(out, "15 active") {
-		t.Errorf("missing census: %q", out)
 	}
 }
 
