@@ -24,7 +24,9 @@ import (
 
 func main() {
 	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "hotpotato:", err)
+		// The facade's errors already carry the package name the command
+		// shares; print it once.
+		fmt.Fprintln(os.Stderr, "hotpotato:", strings.TrimPrefix(err.Error(), "hotpotato: "))
 		os.Exit(1)
 	}
 }

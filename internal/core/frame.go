@@ -114,12 +114,6 @@ func (s Schedule) InjectionPhase(set, srcLevel int) int {
 	return set*s.P.M + srcLevel + s.P.M - 1
 }
 
-// LastFramePhase returns the phase at which the last frame has fully
-// left a depth-L network.
-func (s Schedule) LastFramePhase(L int) int {
-	return s.P.TotalPhases(L)
-}
-
 // ActiveBand returns the band of network levels that can hold packets
 // during the given phase in a depth-L network, under invariant Ic
 // (every packet inside its own frame): the union over all frontier-sets

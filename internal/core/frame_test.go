@@ -137,7 +137,7 @@ func TestScheduleInjectionPhase(t *testing.T) {
 func TestScheduleLastFramePhase(t *testing.T) {
 	s := testSchedule()
 	L := 20
-	last := s.LastFramePhase(L)
+	last := s.P.TotalPhases(L)
 	// At that phase the last frame's back is above level L.
 	if back := s.FrameBack(s.P.NumSets-1, last); back <= L {
 		t.Errorf("back of last frame = %d at phase %d, want > %d", back, last, L)

@@ -67,24 +67,14 @@ func (r *InvariantReport) String() string {
 type InvariantChecker struct {
 	Report InvariantReport
 
-	// CongestionEvery controls how often the O(N·L) frontier-set
-	// congestion recomputation runs: every k-th round end (default 1 =
-	// every round end; 0 disables).
-	CongestionEvery int
-
-	// PathCheckEvery controls how often full path-validity checks run
-	// (every k steps; default 1; 0 disables).
-	PathCheckEvery int
-
 	r        *Frame
 	e        *sim.Engine
-	rounds   int
 	occupied map[graph.NodeID]int32 // node -> set of first packet seen this step
 }
 
 // NewInvariantChecker builds a checker for the given frame router.
 func NewInvariantChecker(r *Frame) *InvariantChecker {
-	return &InvariantChecker{CongestionEvery: 1, PathCheckEvery: 1, r: r}
+	return &InvariantChecker{r: r}
 }
 
 // Attach registers the checker on the engine and snapshots the initial
@@ -160,10 +150,8 @@ func (c *InvariantChecker) observe(t int, e *sim.Engine) {
 		lvl := e.G.Node(p.Cur).Level
 
 		// Ib: current path validity.
-		if c.PathCheckEvery > 0 && t%c.PathCheckEvery == 0 {
-			if !p.PathValid(e.G) {
-				c.Report.IbPathInvalid++
-			}
+		if !p.PathValid(e.G) {
+			c.Report.IbPathInvalid++
 		}
 
 		// Ic: inside own frame (frames at their t+1 position).
@@ -194,7 +182,7 @@ func (c *InvariantChecker) observe(t int, e *sim.Engine) {
 	}
 
 	// Ie: frontier-set congestion never grows.
-	if c.CongestionEvery > 0 && sched.IsRoundEnd(t) && c.rounds%c.CongestionEvery == 0 {
+	if sched.IsRoundEnd(t) {
 		cur := c.setCongestion()
 		c.Report.IeCongestionChecks++
 		for i, v := range cur {
@@ -205,8 +193,5 @@ func (c *InvariantChecker) observe(t int, e *sim.Engine) {
 				c.Report.IeCongestionExceeded++
 			}
 		}
-	}
-	if sched.IsRoundEnd(t) {
-		c.rounds++
 	}
 }

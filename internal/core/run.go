@@ -77,10 +77,6 @@ type RunOptions struct {
 	MaxSteps int
 	// Check attaches an InvariantChecker.
 	Check bool
-	// CongestionEvery/PathCheckEvery tune the checker (see
-	// InvariantChecker); zero keeps its defaults.
-	CongestionEvery int
-	PathCheckEvery  int
 	// Observer, if non-nil, is attached to the engine (tracing).
 	Observer sim.Observer
 	// Probes, if non-empty, are attached through an obs.Collector
@@ -155,12 +151,6 @@ func (r *Runner) finish(opt RunOptions) *Result {
 	var checker *InvariantChecker
 	if opt.Check {
 		checker = NewInvariantChecker(router)
-		if opt.CongestionEvery > 0 {
-			checker.CongestionEvery = opt.CongestionEvery
-		}
-		if opt.PathCheckEvery > 0 {
-			checker.PathCheckEvery = opt.PathCheckEvery
-		}
 		checker.Attach(eng)
 	}
 	if opt.Observer != nil {

@@ -311,6 +311,16 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		"dup packet id":    func(s *persist.EngineState) { s.Packets = append(s.Packets, s.Packets[0]); s.Admitted++ },
 		"count mismatch":   func(s *persist.EngineState) { s.Delivered++ },
 		"negative counter": func(s *persist.EngineState) { s.Deflections = -1 },
+		// More packets at a node than it has edges passes Validate and
+		// used to panic Restore's parkAt.
+		"overfull node": func(s *persist.EngineState) {
+			for i := 0; i < 8; i++ {
+				p := s.Packets[0]
+				p.ID = s.NextID
+				s.NextID, s.Offered, s.Admitted = s.NextID+1, s.Offered+1, s.Admitted+1
+				s.Packets = append(s.Packets, p)
+			}
+		},
 		"nan latency": func(s *persist.EngineState) {
 			s.LatSamples = append(s.LatSamples, math.NaN())
 			s.LatCount++

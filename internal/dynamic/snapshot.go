@@ -212,6 +212,11 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 		if ps.ArrivalEdge != -1 && (int(ps.ArrivalEdge) >= g.NumEdges() || ps.ArrivalEdge < 0) {
 			return nil, fmt.Errorf("dynamic: restore: packet %d arrival edge out of range", ps.ID)
 		}
+		// A node holds at most one packet per incident edge; parkAt
+		// panics on more, which Validate cannot see without the graph.
+		if e.atN[ps.Cur] >= e.atOff[ps.Cur+1]-e.atOff[ps.Cur] {
+			return nil, fmt.Errorf("dynamic: restore: packet %d parks at full node %d", ps.ID, ps.Cur)
+		}
 		s := e.allocSlot()
 		e.pID[s] = ps.ID
 		e.pTenant[s] = e.internTenant(ps.Tenant)

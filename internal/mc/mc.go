@@ -22,12 +22,11 @@ import (
 
 // Trial is the outcome of one seeded run.
 type Trial struct {
-	Seed       int64
-	Steps      int
-	Done       bool
-	Deflects   int
-	Unsafe     int
-	Violations int // Ic + Id + If invariant violations (when checked)
+	Seed     int64
+	Steps    int
+	Done     bool
+	Deflects int
+	Unsafe   int
 	// Absorbed is the number of packets delivered within budget — the
 	// packet-level complement of Done (Done ⇔ Absorbed == N). Campaign
 	// drop rates under faults are computed from it, so a run that
@@ -68,8 +67,6 @@ type Options struct {
 	BaseSeed int64
 	// MaxSteps caps each run (0 = 4x schedule bound).
 	MaxSteps int
-	// Check attaches the invariant checker to every run (slower).
-	Check bool
 	// Workers bounds parallelism (0 = GOMAXPROCS; negative is
 	// rejected). Workers beyond Trials are clamped to Trials.
 	Workers int
@@ -126,8 +123,8 @@ func Run(p *workload.Problem, params core.Params, opt Options) (*Ensemble, error
 		if opt.MaxSteps <= 0 {
 			return nil, fmt.Errorf("mc: Router mode needs an explicit MaxSteps budget")
 		}
-		if opt.Check || opt.Observe != nil || opt.RecordWindow {
-			return nil, fmt.Errorf("mc: Check/Observe/RecordWindow need the frame schedule; unsupported with Router")
+		if opt.Observe != nil || opt.RecordWindow {
+			return nil, fmt.Errorf("mc: Observe/RecordWindow need the frame schedule; unsupported with Router")
 		}
 	}
 	workers := opt.Workers
@@ -161,7 +158,6 @@ func Run(p *workload.Problem, params core.Params, opt Options) (*Ensemble, error
 				ro := core.RunOptions{
 					Seed:     seed,
 					MaxSteps: opt.MaxSteps,
-					Check:    opt.Check,
 				}
 				if opt.Observe != nil {
 					ro.Probes = opt.Observe(seed)
@@ -191,11 +187,6 @@ func Run(p *workload.Problem, params core.Params, opt Options) (*Ensemble, error
 					ExcitedFailures:  res.Router.ExcitedFailures,
 					FaultBlocked:     res.Engine.FaultBlocked,
 					FaultStalls:      res.Engine.FaultStalls,
-				}
-				if opt.Check {
-					t.Violations = res.Invariants.IcFrameEscapes +
-						res.Invariants.IdForeignMeetings +
-						res.Invariants.IfTailOccupied
 				}
 				if wp != nil {
 					t.MaxWindowWidth = wp.maxWidth

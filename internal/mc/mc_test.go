@@ -41,7 +41,7 @@ func quickParams(p *workload.Problem) core.Params {
 
 func TestEnsembleAllSucceed(t *testing.T) {
 	p := testProblem(t)
-	e := mustRun(t, p, quickParams(p), Options{Trials: 12, Check: true})
+	e := mustRun(t, p, quickParams(p), Options{Trials: 12})
 	if len(e.Trials) != 12 {
 		t.Fatalf("trials = %d", len(e.Trials))
 	}
@@ -128,8 +128,8 @@ func TestRunOptionValidation(t *testing.T) {
 func TestEnsembleReuseMatchesFreshEngines(t *testing.T) {
 	p := testProblem(t)
 	params := quickParams(p)
-	reused := mustRun(t, p, params, Options{Trials: 6, Check: true})
-	fresh := mustRun(t, p, params, Options{Trials: 6, Check: true, FreshEngines: true})
+	reused := mustRun(t, p, params, Options{Trials: 6})
+	fresh := mustRun(t, p, params, Options{Trials: 6, FreshEngines: true})
 	for i := range reused.Trials {
 		if reused.Trials[i] != fresh.Trials[i] {
 			t.Errorf("trial %d differs with engine reuse: %+v vs %+v",

@@ -100,7 +100,6 @@ func TestRouterModeValidation(t *testing.T) {
 	p := testProblem(t)
 	cases := map[string]Options{
 		"missing max steps": {Trials: 1, Router: greedyFactory()},
-		"check":             {Trials: 1, Router: greedyFactory(), MaxSteps: 100, Check: true},
 		"record window":     {Trials: 1, Router: greedyFactory(), MaxSteps: 100, RecordWindow: true},
 	}
 	for name, opt := range cases {
