@@ -1,7 +1,6 @@
 package dynamic
 
 import (
-	"math/rand"
 	"testing"
 
 	"hotpotato/internal/topo"
@@ -30,21 +29,26 @@ var chi2Crit = map[int]float64{
 }
 
 // TestReservoirArbitrationUniform replays the engine's winner-selection
-// loop — first contender seeds the slot, the k-th replaces it when
-// reservoirKeep(rng, k) — over many independent conflicts and
-// chi-square tests that each of k contenders wins with probability 1/k.
+// loop — first contender seeds the slot, the k-th replaces it when its
+// precomputed draw in [0, k) gives 0 — over many independent conflicts
+// and chi-square tests that each of k contenders wins with probability
+// 1/k.
 // The prior Intn(2) coin gave the LAST contender probability 1/2
 // regardless of k (and starved the middle of a 3-way conflict down to
 // 1/4); at these sample sizes that bias fails by orders of magnitude.
 func TestReservoirArbitrationUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	src := newSM64(1)
 	for _, k := range []int{2, 3, 4, 8} {
+		keep := make([]bound, k+1)
+		for c := 1; c <= k; c++ {
+			keep[c] = newBound(c)
+		}
 		counts := make([]int, k)
 		const trials = 40000
 		for trial := 0; trial < trials; trial++ {
 			winner := 0
 			for c := 1; c < k; c++ {
-				if reservoirKeep(rng, c+1) {
+				if src.below(&keep[c+1]) == 0 {
 					winner = c
 				}
 			}
@@ -63,8 +67,9 @@ func TestReservoirArbitrationUniform(t *testing.T) {
 // TestReservoirArbitrationEndToEnd drives the real request loop: many
 // sources contending for the same structural conflict keep long-run
 // deflection counts seed-stable but — more to the point here —
-// sanity-checks that the reservoir rule is actually reachable from Run
-// (a conflict with k>2 contenders occurs and resolves without error).
+// sanity-checks that the reservoir rule, the engine's keepDraw table,
+// is actually reachable from Run (a conflict with k>2 contenders occurs
+// and resolves without error).
 func TestReservoirArbitrationEndToEnd(t *testing.T) {
 	g, err := topo.Butterfly(4)
 	if err != nil {

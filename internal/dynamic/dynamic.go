@@ -24,7 +24,6 @@ package dynamic
 
 import (
 	"fmt"
-	"math/rand"
 
 	"hotpotato/internal/graph"
 	"hotpotato/internal/sim"
@@ -240,8 +239,9 @@ func (r *Result) String() string {
 // queue. Its destination and path were drawn at the original arrival,
 // so retries consume no randomness and the RNG stream stays a pure
 // function of the arrival sequence. The path backing is a pooled
-// buffer owned by the engine; tenant is the interned id (-1 for
-// anonymous λ-arrivals).
+// buffer owned by the engine, nil on a unique-path network for a drawn
+// path, which the endpoints determine; tenant is the interned id (-1
+// for anonymous λ-arrivals).
 type retryEntry struct {
 	tenant   int32
 	src      graph.NodeID
@@ -249,17 +249,6 @@ type retryEntry struct {
 	path     []graph.EdgeID
 	attempts int // admission attempts so far (>= 1)
 	next     int // earliest step of the next attempt
-}
-
-// reservoirKeep reports whether the k-th contender (k >= 2) replaces
-// the incumbent under reservoir selection: with probability exactly
-// 1/k, so each of k contenders ends up winning with probability 1/k —
-// the arbitration rule PR 1 established for the batch engine (the
-// prior Intn(2) coin let the last contender win with probability 1/2
-// regardless of k). Uniformity is chi-square tested in
-// arbitration_test.go.
-func reservoirKeep(rng *rand.Rand, k int) bool {
-	return rng.Intn(k) == 0
 }
 
 // summarizeLatencies is the single finalization path for the latency

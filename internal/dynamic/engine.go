@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"hotpotato/internal/graph"
 	"hotpotato/internal/paths"
@@ -21,7 +22,9 @@ type TenantTotals = persist.TenantTotals
 // entries consume no randomness. Drawing late keeps the RNG stream a
 // pure function of the injection sequence, which is what makes a
 // snapshot-restored run replay byte-identically. The path backing, when
-// non-nil, is a pooled buffer owned by the engine.
+// non-nil, is a pooled buffer owned by the engine. On a unique-path
+// network a drawn entry keeps no path: its endpoints determine it, and
+// inject walks it off the reach matrix.
 type pendingEntry struct {
 	tenant int32 // interned; -1 anonymous
 	random bool
@@ -43,10 +46,11 @@ type pendingEntry struct {
 // occ(v) <= deg(v) invariant, and the per-step request/grant/deflect
 // bookkeeping is epoch-stamped scratch keyed by transmission slot
 // (edge, direction) — no maps, no per-step allocation once warm. Paths
-// sit in per-slot pooled buffers with prepend headroom so a deflection
-// retreats in place instead of copy-prepending. A live path is held as
-// the transmission slots it will take, not as edges, so a request reads
-// its slot off the path head without working out the direction.
+// sit in one arena, each slot owning a segment with prepend headroom so
+// a deflection retreats in place instead of copy-prepending. A live path
+// is held as the transmission slots it will take, not as edges, so a
+// request reads its slot off the path head without working out the
+// direction.
 //
 // An Engine is not safe for concurrent use; the service serializes all
 // access through each topology's goroutine.
@@ -58,10 +62,19 @@ type Engine struct {
 	src *sm64
 	rng *rand.Rand
 
+	// Precomputed draws on src, each the value and stream use of
+	// rng.Intn over the same bound: srcDraw picks an index into sources,
+	// dstDraw[i] the rank of a destination among the Len nodes that
+	// sources[i] reaches, and keepDraw[k] the reservoir tie-break among
+	// k contenders for a slot (k is at most the node's degree).
+	srcDraw  bound
+	dstDraw  []bound
+	keepDraw []bound
+
 	// sources are the nodes with a forward-reachable destination, in ID
 	// order. reach is the forward-reach bit matrix: Submit's accept test,
 	// the random destination draw (the k-th node a source reaches) and,
-	// on a unique-path network, the path draw.
+	// on a unique-path network, the path walk at injection.
 	sources []graph.NodeID
 	reach   *paths.Reach
 
@@ -72,7 +85,7 @@ type Engine struct {
 	counts *paths.CountTable
 
 	// Packet columns, indexed by slot. A slot is recycled through free
-	// when its packet delivers; its path buffer stays with the slot so
+	// when its packet delivers; its path segment stays with the slot so
 	// a warm engine re-injects without allocating.
 	pID      []int
 	pTenant  []int32 // interned tenant id; -1 anonymous (λ-arrivals)
@@ -81,9 +94,16 @@ type Engine struct {
 	pArrEdge []int32 // -1 = never moved
 	pArrDir  []uint8
 	pInject  []int
-	pBuf     [][]int32 // pooled path backing with headroom, as slots edge<<1 | direction
-	pHead    []int32   // index of the path head within pBuf
-	pLen     []int32   // remaining path length
+	pOff     []int32 // start of the slot's segment of path
+	pCap     []int32 // length of that segment
+	pHead    []int32 // index of the path head within path
+	pLen     []int32 // remaining path length
+
+	// path is the arena of every slot's segment, holding live paths as
+	// transmission slots edge<<1 | direction. A path that outgrows its
+	// segment moves to a larger one appended to the arena; heads are
+	// indices, so growing the arena re-points nothing.
+	path []int32
 
 	free []int32 // recycled packet slots
 	live []int32 // live slots in injection order
@@ -230,13 +250,21 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	if !reach.Unique() {
 		e.counts = paths.NewCountTable(g)
 	}
+	e.sources = make([]graph.NodeID, 0, g.NumNodes())
+	e.dstDraw = make([]bound, 0, g.NumNodes())
 	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		if reach.Len(v) > 0 {
+		if n := reach.Len(v); n > 0 {
 			e.sources = append(e.sources, v)
+			e.dstDraw = append(e.dstDraw, newBound(n))
 		}
 	}
 	if len(e.sources) == 0 {
 		return nil, fmt.Errorf("dynamic: network has no eligible sources")
+	}
+	e.srcDraw = newBound(len(e.sources))
+	e.keepDraw = make([]bound, g.MaxDegree()+1)
+	for k := 1; k < len(e.keepDraw); k++ {
+		e.keepDraw[k] = newBound(k)
 	}
 
 	nn, ne := g.NumNodes(), g.NumEdges()
@@ -262,10 +290,8 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	// never allocates. Live packets are bounded by both the admission
 	// cap and the occupancy invariant (sum over v of occ(v) <= deg(v)
 	// is 2|E|), so the packet columns can be built at full size up
-	// front, every slot pre-fitted with a path buffer that holds a
-	// maximal forward path (depth edges) plus deflection headroom. The
-	// buffers are carved from one backing array, each capped so a slot
-	// that outgrows its own reallocates instead of spilling into the next.
+	// front, every slot pre-fitted with a path segment that holds a
+	// maximal forward path (depth edges) plus deflection headroom.
 	maxSlots := cfg.MaxInFlight
 	if bound := 2 * ne; bound < maxSlots {
 		maxSlots = bound
@@ -278,18 +304,19 @@ func NewEngine(g *graph.Leveled, cfg Config) (*Engine, error) {
 	e.pArrEdge = make([]int32, maxSlots)
 	e.pArrDir = make([]uint8, maxSlots)
 	e.pInject = make([]int, maxSlots)
-	e.pBuf = make([][]int32, maxSlots)
+	e.pOff = make([]int32, maxSlots)
+	e.pCap = make([]int32, maxSlots)
 	e.pHead = make([]int32, maxSlots)
 	e.pLen = make([]int32, maxSlots)
 	e.grantEpoch = make([]uint32, maxSlots)
 	e.grantSlot = make([]int32, maxSlots)
 	e.stallEpoch = make([]uint32, maxSlots)
 	e.free = make([]int32, 0, maxSlots)
-	pathArena := make([]int32, maxSlots*pathCap)
+	e.path = make([]int32, maxSlots*pathCap)
 	for s := maxSlots - 1; s >= 0; s-- {
 		e.pArrEdge[s] = -1
 		e.pTenant[s] = -1
-		e.pBuf[s] = pathArena[s*pathCap : (s+1)*pathCap : (s+1)*pathCap]
+		e.pOff[s], e.pCap[s] = int32(s*pathCap), int32(pathCap)
 		e.free = append(e.free, int32(s)) // pops yield 0, 1, 2, ...
 	}
 	e.live = make([]int32, 0, maxSlots)
@@ -392,31 +419,39 @@ func (e *Engine) SubmitRandom(tenant string, n int) error {
 		return fmt.Errorf("dynamic: submit: random count %d < 1", n)
 	}
 	id := e.internTenant(tenant)
-	for i := 0; i < n; i++ {
-		e.offerPending(pendingEntry{tenant: id, random: true, src: graph.NoNode, dst: graph.NoNode})
+	e.offer(id, n)
+	at := len(e.pending)
+	e.pending = slices.Grow(e.pending, n)[:at+n]
+	for i := range e.pending[at:] {
+		e.pending[at+i] = pendingEntry{tenant: id, random: true, src: graph.NoNode, dst: graph.NoNode}
 	}
 	return nil
 }
 
 func (e *Engine) offerPending(en pendingEntry) {
-	e.res.Offered++
-	if tt := e.ledger(en.tenant); tt != nil {
-		tt.Submitted++
-	}
+	e.offer(en.tenant, 1)
 	e.pending = append(e.pending, en)
 }
 
-// drawPath samples a forward src→dst path into a pooled buffer — the
-// path and RNG consumption of paths.RandomForwardPath, minus its
-// counting pass. On a multi-path network it draws through a count row,
+// offer counts n submitted packets against the engine and the tenant.
+func (e *Engine) offer(tenant int32, n int) {
+	e.res.Offered += n
+	if tt := e.ledger(tenant); tt != nil {
+		tt.Submitted += n
+	}
+}
+
+// drawPath samples a forward src→dst path — the path and RNG
+// consumption of paths.RandomForwardPath, minus its counting pass. On a
+// multi-path network it draws through a count row into a pooled buffer,
 // one draw per hop. On a unique-path network every hop's choice is a
-// draw among one, which takes exactly one value: the reach matrix walks
-// the path without drawing, and the stream skips those values.
+// draw among one, which takes exactly one value per hop, one per level
+// between the endpoints: the stream skips those values and drawPath
+// returns nil, for inject to walk the path off the reach matrix.
 func (e *Engine) drawPath(src, dst graph.NodeID) ([]graph.EdgeID, error) {
 	if e.counts == nil {
-		path, err := e.reach.AppendPath(src, dst, e.borrowQBuf())
-		e.src.skip(len(path))
-		return path, err
+		e.src.skip(e.g.LevelOf(dst) - e.g.LevelOf(src))
+		return nil, nil
 	}
 	return e.counts.AppendPath(e.rng, src, dst, e.borrowQBuf())
 }
@@ -439,7 +474,8 @@ func (e *Engine) returnQBuf(b []graph.EdgeID) {
 }
 
 // allocSlot takes a packet slot from the free list, growing the columns
-// when none are available. Recycled slots keep their path buffer.
+// when none are available. Recycled slots keep their path segment; a
+// new slot gets one from its first pathWindow.
 func (e *Engine) allocSlot() int32 {
 	if n := len(e.free); n > 0 {
 		s := e.free[n-1]
@@ -454,7 +490,8 @@ func (e *Engine) allocSlot() int32 {
 	e.pArrEdge = append(e.pArrEdge, -1)
 	e.pArrDir = append(e.pArrDir, 0)
 	e.pInject = append(e.pInject, 0)
-	e.pBuf = append(e.pBuf, nil)
+	e.pOff = append(e.pOff, 0)
+	e.pCap = append(e.pCap, 0)
 	e.pHead = append(e.pHead, 0)
 	e.pLen = append(e.pLen, 0)
 	e.grantEpoch = append(e.grantEpoch, 0)
@@ -464,22 +501,24 @@ func (e *Engine) allocSlot() int32 {
 }
 
 // pathWindow sets packet slot s's path to n slots, centered in its
-// buffer so both prepends (deflection retreats) and head pops advance
-// in place, and returns the window for the caller to fill. The buffer
+// segment so both prepends (deflection retreats) and head pops advance
+// in place, and returns the window for the caller to fill. A segment
 // only ever grows, so a warm slot installs without allocating.
 func (e *Engine) pathWindow(s int32, n int) []int32 {
-	need := n + 2*pathHeadroom
-	buf := e.pBuf[s]
-	if cap(buf) < need {
-		buf = make([]int32, need)
-	} else {
-		buf = buf[:cap(buf)]
+	if need := int32(n + 2*pathHeadroom); e.pCap[s] < need {
+		e.newSegment(s, need)
 	}
-	head := (len(buf) - n) / 2
-	e.pBuf[s] = buf
-	e.pHead[s] = int32(head)
+	head := e.pOff[s] + (e.pCap[s]-int32(n))/2
+	e.pHead[s] = head
 	e.pLen[s] = int32(n)
-	return buf[head : head+n]
+	return e.path[head : head+int32(n)]
+}
+
+// newSegment gives packet slot s a fresh segment of c entries at the
+// end of the arena. The old one is left unused.
+func (e *Engine) newSegment(s int32, c int32) {
+	e.pOff[s], e.pCap[s] = int32(len(e.path)), c
+	e.path = append(e.path, make([]int32, c)...)
 }
 
 // setPath installs a forward path into packet slot s: each edge is
@@ -494,24 +533,24 @@ func (e *Engine) setPath(s int32, path []graph.EdgeID) {
 // prependSlot pushes one transmission slot in front of packet slot s's
 // path head: the in-place replacement for the old copy-prepend on every
 // deflection. When the left headroom is exhausted it recenters within
-// the buffer (pops free space on the left over time) or grows it.
+// the segment (pops free space on the left over time) or moves the path
+// to a segment twice as large.
 func (e *Engine) prependSlot(s int32, si int32) {
-	if e.pHead[s] == 0 {
-		buf, n := e.pBuf[s], int(e.pLen[s])
-		if n < len(buf) {
-			shift := (len(buf) - n + 1) / 2
-			copy(buf[shift:shift+n], buf[:n])
-			e.pHead[s] = int32(shift)
+	if off := e.pOff[s]; e.pHead[s] == off {
+		c, n := e.pCap[s], e.pLen[s]
+		if n < c {
+			shift := (c - n + 1) / 2
+			copy(e.path[off+shift:off+shift+n], e.path[off:off+n])
+			e.pHead[s] = off + shift
 		} else {
-			nbuf := make([]int32, 2*len(buf)+2*pathHeadroom)
-			head := (len(nbuf) - n) / 2
-			copy(nbuf[head:], buf[:n])
-			e.pBuf[s] = nbuf
-			e.pHead[s] = int32(head)
+			e.newSegment(s, 2*c+2*pathHeadroom)
+			head := e.pOff[s] + (e.pCap[s]-n)/2
+			copy(e.path[head:head+n], e.path[off:off+n])
+			e.pHead[s] = head
 		}
 	}
 	e.pHead[s]--
-	e.pBuf[s][e.pHead[s]] = si
+	e.path[e.pHead[s]] = si
 	e.pLen[s]++
 }
 
@@ -533,7 +572,8 @@ func (e *Engine) parkAt(v graph.NodeID, s int32) {
 
 // inject admits a packet at src if the source is free and the in-flight
 // cap allows, returning success. The path is copied into the slot's
-// pooled buffer; the caller keeps ownership of the argument.
+// segment, or, when nil on a unique-path network, walked straight into
+// it; the caller keeps ownership of the argument.
 func (e *Engine) inject(t int, tenant int32, src, dst graph.NodeID, path []graph.EdgeID) bool {
 	if e.atN[src] > 0 || len(e.live) >= e.cfg.MaxInFlight {
 		if len(e.live) >= e.cfg.MaxInFlight {
@@ -550,7 +590,11 @@ func (e *Engine) inject(t int, tenant int32, src, dst graph.NodeID, path []graph
 	e.pArrEdge[s] = -1
 	e.pArrDir[s] = 0
 	e.pInject[s] = t
-	e.setPath(s, path)
+	if path == nil {
+		e.reach.WalkSlots(src, dst, e.pathWindow(s, e.g.LevelOf(dst)-e.g.LevelOf(src)))
+	} else {
+		e.setPath(s, path)
+	}
 	e.parkAt(src, s)
 	e.live = append(e.live, s)
 	e.res.Admitted++
@@ -715,9 +759,9 @@ func (e *Engine) Step() error {
 		for i := range e.pending {
 			en := e.pending[i]
 			if en.random {
-				s := e.sources[e.rng.Intn(len(e.sources))]
-				en.src, en.dst = s, e.reach.Nth(s, e.rng.Intn(e.reach.Len(s)))
-				en.random = false
+				j := e.src.below(&e.srcDraw)
+				en.src = e.sources[j]
+				en.dst = e.reach.Nth(en.src, e.src.below(&e.dstDraw[j]))
 			}
 			if en.path == nil {
 				path, err := e.drawPath(en.src, en.dst)
@@ -747,12 +791,12 @@ func (e *Engine) Step() error {
 	// queue (or are lost when retry is disabled). Skipped entirely at
 	// λ=0 (the pure service mode) so no randomness is consumed.
 	if cfg.Lambda > 0 {
-		for _, s := range e.sources {
+		for j, s := range e.sources {
 			if e.rng.Float64() >= cfg.Lambda {
 				continue
 			}
 			res.Offered++
-			dst := e.reach.Nth(s, e.rng.Intn(e.reach.Len(s)))
+			dst := e.reach.Nth(s, e.src.below(&e.dstDraw[j]))
 			path, err := e.drawPath(s, dst)
 			if err != nil {
 				return err
@@ -773,15 +817,18 @@ func (e *Engine) Step() error {
 	}
 
 	// Requests: every live packet chases its head; equal-priority
-	// conflicts resolve by reservoir selection (1/k per contender, in
-	// live order — the exact RNG consumption of the map-based engine).
-	// A request for a downed edge is fault-blocked and falls through to
-	// the deflection pass.
+	// conflicts resolve by reservoir selection in live order: the k-th
+	// contender (k >= 2) replaces the incumbent when a draw in [0, k) is
+	// 0, so each of k contenders wins with probability exactly 1/k (a
+	// coin per contender would let the last one win half the time
+	// whatever k). Uniformity is chi-square tested in
+	// arbitration_test.go. A request for a downed edge is fault-blocked
+	// and falls through to the deflection pass.
 	e.epoch++
 	ep := e.epoch
 	e.winSlots = e.winSlots[:0]
 	for _, s := range e.live {
-		si := e.pBuf[s][e.pHead[s]]
+		si := e.path[e.pHead[s]]
 		if e.down(graph.EdgeID(si>>1), t) {
 			res.FaultBlocked++
 			continue
@@ -794,7 +841,7 @@ func (e *Engine) Step() error {
 			e.winSlots = append(e.winSlots, si)
 		}
 		e.slotCount[si] = k
-		if k == 1 || reservoirKeep(e.rng, int(k)) {
+		if k == 1 || e.src.below(&e.keepDraw[k]) == 0 {
 			e.slotWinner[si] = s
 		}
 	}
@@ -896,7 +943,7 @@ func (e *Engine) Step() error {
 		dest := e.g.EndpointAt(ed, d)
 		// A move along the path head pops it; any other move is a
 		// deflection, retreated by the same edge the other way.
-		if e.pLen[s] > 0 && e.pBuf[s][e.pHead[s]] == si {
+		if e.pLen[s] > 0 && e.path[e.pHead[s]] == si {
 			e.pHead[s]++
 			e.pLen[s]--
 		} else {

@@ -308,6 +308,12 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 			p := s.Packets[0]
 			s.Pending = append(s.Pending, persist.PendingState{Src: p.Dst, Dst: p.Dst, Path: p.Path})
 		},
+		// A pending pair with no path is walked between its endpoints
+		// at injection, so one that Submit would refuse is refused here.
+		"pending pair unreachable": func(s *persist.EngineState) {
+			p := s.Packets[0]
+			s.Pending = append(s.Pending, persist.PendingState{Src: p.Dst, Dst: p.Cur})
+		},
 		"dup packet id":    func(s *persist.EngineState) { s.Packets = append(s.Packets, s.Packets[0]); s.Admitted++ },
 		"count mismatch":   func(s *persist.EngineState) { s.Delivered++ },
 		"negative counter": func(s *persist.EngineState) { s.Deflections = -1 },

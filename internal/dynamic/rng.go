@@ -1,5 +1,10 @@
 package dynamic
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // sm64 is a SplitMix64 rand.Source64. The open-system engine draws all
 // of its randomness through it (wrapped in math/rand.Rand) instead of
 // the runtime's default source because its entire state is one uint64 —
@@ -42,3 +47,40 @@ func (s *sm64) Seed(seed int64) { *s = *newSM64(seed) }
 
 // skip advances the stream past k draws, as k calls of Uint64 would.
 func (s *sm64) skip(k int) { s.state += uint64(k) * sm64Gamma }
+
+// bound is a precomputed uniform draw in [0, n) for 1 ≤ n < 2^31:
+// math/rand's Int31n(n) (and so Intn(n)) without its interface call or
+// its divides. lim is Int31n's rejection threshold, 2^31-1 - 2^31 mod n,
+// which is 2^31-1 for a power of two, so every value is accepted where
+// Int31n masks. m is the reciprocal ⌈2^64/n⌉ (0 for n = 1), with which
+// the high word of (m·v mod 2^64)·n is v mod n for every 32-bit v
+// (Lemire, Kaser and Kurz, "Faster remainder by direct computation"),
+// and equals v & (n-1) for a power of two.
+type bound struct {
+	m   uint64
+	lim uint32
+	n   uint32
+}
+
+func newBound(n int) bound {
+	if n < 1 || n > 1<<31-1 {
+		panic(fmt.Sprintf("dynamic: draw bound %d outside [1, 2^31)", n))
+	}
+	return bound{
+		m:   ^uint64(0)/uint64(n) + 1,
+		lim: 1<<31 - 1 - 1<<31%uint32(n),
+		n:   uint32(n),
+	}
+}
+
+// below draws from b as rand.New(s).Intn(b.n) would: the same value,
+// from the same number of stream values (Int31 is the top 31 bits of
+// one Uint64).
+func (s *sm64) below(b *bound) int {
+	v := uint32(s.Uint64() >> 33)
+	for v > b.lim {
+		v = uint32(s.Uint64() >> 33)
+	}
+	hi, _ := bits.Mul64(b.m*uint64(v), uint64(b.n))
+	return int(hi)
+}

@@ -88,16 +88,24 @@ func (e *Engine) Snapshot() (*persist.EngineState, error) {
 		st.Packets = append(st.Packets, persist.PacketState{
 			ID: e.pID[s], Tenant: e.tenantName(e.pTenant[s]),
 			Cur: e.pCur[s], Dst: e.pDst[s],
-			Path:        slotsToWire(e.pBuf[s][e.pHead[s] : e.pHead[s]+e.pLen[s]]),
+			Path:        slotsToWire(e.path[e.pHead[s] : e.pHead[s]+e.pLen[s]]),
 			ArrivalEdge: e.pArrEdge[s],
 			ArrivalDir:  int8(e.pArrDir[s]),
 			Inject:      e.pInject[s],
 		})
 	}
 	for _, en := range e.retryQ {
+		path := en.path
+		if path == nil {
+			// An endpoint-only entry: its path is the one the walk gives.
+			var err error
+			if path, err = e.reach.AppendPath(en.src, en.dst, nil); err != nil {
+				return nil, fmt.Errorf("dynamic: snapshot: retry entry: %w", err)
+			}
+		}
 		st.RetryQ = append(st.RetryQ, persist.RetryState{
 			Tenant: e.tenantName(en.tenant), Src: int32(en.src), Dst: int32(en.dst),
-			Path: edgesToWire(en.path), Attempts: en.attempts, Next: en.next,
+			Path: edgesToWire(path), Attempts: en.attempts, Next: en.next,
 		})
 	}
 	for _, en := range e.pending {
@@ -139,8 +147,9 @@ type Hooks struct {
 // both structurally (persist.EngineState.Validate) and against the
 // graph: node and edge references must be in range, every packet's
 // remaining path must be a chain of incident edges from its current
-// node to its destination, and every queued path a chain of forward
-// edges from its source to its destination.
+// node to its destination, every queued path a chain of forward edges
+// from its source to its destination, and every pending pair without a
+// path one whose source forward-reaches its destination.
 func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, error) {
 	if err := st.Validate(); err != nil {
 		return nil, err
@@ -266,6 +275,10 @@ func Restore(g *graph.Leveled, st *persist.EngineState, hooks Hooks) (*Engine, e
 					return nil, fmt.Errorf("dynamic: restore: pending entry %d: %w", i, err)
 				}
 				en.path = path
+			} else if !e.reach.Contains(en.src, en.dst) {
+				// Step draws or walks a path between the endpoints, so
+				// they must be a pair Submit accepts.
+				return nil, fmt.Errorf("dynamic: restore: pending entry %d: node %d cannot reach %d forward", i, ps.Src, ps.Dst)
 			}
 		}
 		e.pending = append(e.pending, en)

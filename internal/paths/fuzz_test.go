@@ -128,8 +128,8 @@ func drawAll(t *testing.T, g *graph.Leveled, d drawer, want []int64, dst graph.N
 // Unique against every graph.CountForwardPaths entry being at most 1,
 // and on unique-path DAGs that matrix walks to every destination from
 // every node that reaches it give refDraw's paths and, with the stream
-// advanced by one draw per hop, its final RNG state.
-// Sparse inputs give unique-path DAGs.
+// advanced by one draw per hop, its final RNG state, and that the
+// slot walk writes the same paths. Sparse inputs give unique-path DAGs.
 func FuzzReach(f *testing.F) {
 	f.Add(int64(1), uint8(24), uint8(40)) // unique-path
 	f.Add(int64(2), uint8(95), uint8(16)) // unique-path, multi-word rows
@@ -166,6 +166,11 @@ func FuzzReach(f *testing.F) {
 		if unique {
 			for d := range counts {
 				drawAll(t, g, reachDraw(reach), counts[d], graph.NodeID(d))
+			}
+			for s := graph.NodeID(0); int(s) < nn; s++ {
+				for k := 0; k < reach.Len(s); k++ {
+					checkWalk(t, g, reach, s, reach.Nth(s, k))
+				}
 			}
 		}
 	})

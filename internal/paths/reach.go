@@ -249,6 +249,50 @@ func (r *Reach) AppendPath(src, dst graph.NodeID, buf graph.Path) (graph.Path, e
 	return buf, nil
 }
 
+// WalkSlots writes the forward src→dst path of a unique-path network
+// into out as transmission slots, edge<<1 (graph.Forward is 0): the
+// path AppendPath appends, by the same choice rule. out must have one
+// entry per hop, the level of dst less the level of src, and src must
+// forward-reach dst; neither is checked. Below the last hop dst is on
+// a higher level than every up-neighbour, so only the matrix bit is
+// tested, and a node with two up-links, as on a butterfly or Omega
+// network, picks its hop by that bit without a branch.
+func (r *Reach) WalkSlots(src, dst graph.NodeID, out []int32) {
+	if len(out) == 0 {
+		return
+	}
+	w := int(dst >> 6)
+	stripe, bit := r.bits[w*r.nn:(w+1)*r.nn], dst&63
+	cur := src
+	last := len(out) - 1
+	for i := range out[:last] {
+		lo, hi := r.upOff[cur], r.upOff[cur+1]
+		var next upLink
+		if hi-lo == 2 {
+			next = r.ups[lo+1-int32(stripe[r.ups[lo].node]>>bit&1)]
+		} else {
+			next = r.ups[hi-1]
+			for _, l := range r.ups[lo : hi-1] {
+				if stripe[l.node]>>bit&1 != 0 {
+					next = l
+					break
+				}
+			}
+		}
+		out[i] = int32(next.edge) << 1
+		cur = next.node
+	}
+	links := r.ups[r.upOff[cur]:r.upOff[cur+1]]
+	next := links[len(links)-1]
+	for _, l := range links[:len(links)-1] {
+		if l.node == dst {
+			next = l
+			break
+		}
+	}
+	out[last] = int32(next.edge) << 1
+}
+
 // unreachable says why src does not forward-reach dst.
 func (r *Reach) unreachable(src, dst graph.NodeID) error {
 	if src == dst {

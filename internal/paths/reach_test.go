@@ -91,3 +91,50 @@ func TestReachParallelEdges(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkSlotsMatchesAppendPath checks the slot walk against
+// AppendPath on every pair of butterfly(1..8) and Omega(3..6): the same
+// edges, each as its forward transmission slot.
+func TestWalkSlotsMatchesAppendPath(t *testing.T) {
+	var nets []*graph.Leveled
+	for k := 1; k <= 8; k++ {
+		nets = append(nets, mustTopo(t)(topo.Butterfly(k)))
+	}
+	for k := 3; k <= 6; k++ {
+		nets = append(nets, mustTopo(t)(topo.Omega(k)))
+	}
+	for _, g := range nets {
+		r, err := NewReach(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Unique() {
+			t.Fatalf("%s is not unique-path", g.Name())
+		}
+		for s := graph.NodeID(0); int(s) < g.NumNodes(); s++ {
+			for k := 0; k < r.Len(s); k++ {
+				checkWalk(t, g, r, s, r.Nth(s, k))
+			}
+		}
+	}
+}
+
+// checkWalk requires WalkSlots(src, dst) to write AppendPath's path as
+// forward slots.
+func checkWalk(t *testing.T, g *graph.Leveled, r *Reach, src, dst graph.NodeID) {
+	t.Helper()
+	want, err := r.AppendPath(src, dst, nil)
+	if err != nil {
+		t.Fatalf("%s %d→%d: %v", g.Name(), src, dst, err)
+	}
+	got := make([]int32, g.LevelOf(dst)-g.LevelOf(src))
+	r.WalkSlots(src, dst, got)
+	if len(got) != len(want) {
+		t.Fatalf("%s %d→%d: walk of %d slots, AppendPath %v", g.Name(), src, dst, len(got), want)
+	}
+	for i, ed := range want {
+		if got[i] != int32(ed)<<1|int32(graph.Forward) {
+			t.Fatalf("%s %d→%d: walk %v, AppendPath %v", g.Name(), src, dst, got, want)
+		}
+	}
+}
