@@ -75,9 +75,6 @@ func (r *RandGreedy) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, kind sim.De
 	r.excited[p.ID] = false
 }
 
-// OnMove implements sim.Notifier.
-func (*RandGreedy) OnMove(int, *sim.Packet) {}
-
 // OnAbsorb implements sim.Notifier.
 func (*RandGreedy) OnAbsorb(int, *sim.Packet) {}
 

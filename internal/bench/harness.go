@@ -29,8 +29,13 @@ type Row struct {
 	Name string `json:"name"`
 	// NsPerStep holds one sample per rep: the rep's summed wall time
 	// over its summed steps. Compare gates the bootstrap interval of
-	// their median (see MedianCI).
+	// the median of these reps scaled to a nominal host speed (see
+	// Scaled and MedianCI).
 	NsPerStep []float64 `json:"ns_per_step,omitempty"`
+	// KernelNs holds, for each rep, the time of the fixed host kernel
+	// run right after it (hostspeed.go): how fast the host ran at the
+	// time. Rows recorded before the kernel existed have none.
+	KernelNs []float64 `json:"kernel_ns,omitempty"`
 	// Steps is the measured step count of the shortest rep.
 	Steps int `json:"steps"`
 	// AllocsPerStep is the minimum over reps of heap allocations per
@@ -59,11 +64,32 @@ func (r Row) Median() float64 {
 	return stats.QuantileUnsorted(r.NsPerStep, 0.5)
 }
 
-// MedianCI is the 95% percentile-bootstrap interval of the median rep's
-// ns/step, drawn from a fixed seed so a document always yields the same
-// interval.
-func (r Row) MedianCI() stats.QuantileCI {
-	return stats.BootstrapQuantileCI(r.NsPerStep, 0.5, 1000, 0x5eed, 0.95)
+// Scaled returns the reps' ns/step as if the host had run at the
+// kernel's nominal speed: each rep times kernelNominalNs over its
+// kernel time. A row without one kernel time per rep returns its raw
+// reps.
+func (r Row) Scaled() []float64 {
+	if !r.hasKernel() {
+		return r.NsPerStep
+	}
+	out := make([]float64, len(r.NsPerStep))
+	for i, ns := range r.NsPerStep {
+		out[i] = ns * kernelNominalNs / r.KernelNs[i]
+	}
+	return out
+}
+
+func (r Row) hasKernel() bool {
+	return len(r.NsPerStep) > 0 && len(r.KernelNs) == len(r.NsPerStep)
+}
+
+// MedianCI is the 95% percentile-bootstrap interval of the median of
+// the scaled reps (Scaled), drawn from a fixed seed so a document
+// always yields the same interval.
+func (r Row) MedianCI() stats.QuantileCI { return medianCI(r.Scaled()) }
+
+func medianCI(xs []float64) stats.QuantileCI {
+	return stats.BootstrapQuantileCI(xs, 0.5, 1000, 0x5eed, 0.95)
 }
 
 // Doc is one BENCH_*.json document: the recording host, the suite and
@@ -169,14 +195,16 @@ type pass struct {
 
 // measure is the one measure loop behind every stepped row: warm once,
 // so measured passes see no scratch growth or first-touch allocation;
-// then take benchReps reps (more while the median's interval is wide),
-// each repeating the pass until it reaches benchWindow steps. Only the passes' own clocks count, so per-pass
-// rewinds stay outside the timing. The metrics record the
+// then take benchReps reps (more while the scaled median's interval is
+// wide), each repeating the pass until it reaches benchWindow steps and
+// followed by the host kernel. Only the passes' own clocks count, so
+// per-pass rewinds stay outside the timing. The metrics record the
 // mean pass, and steady_ns_per_step the fastest rep's drain rate.
 func measure(name string, run func() (pass, error)) (Row, error) {
 	if _, err := run(); err != nil {
 		return Row{}, fmt.Errorf("bench: %s (warmup): %w", name, err)
 	}
+	kernel := newHostKernel()
 	row := Row{Name: name, AllocsPerStep: math.Inf(1)}
 	steady := 0.0
 	var tot pass
@@ -203,6 +231,7 @@ func measure(name string, run func() (pass, error)) (Row, error) {
 		runtime.ReadMemStats(&after)
 		row.AllocsPerStep = min(row.AllocsPerStep, float64(after.Mallocs-before.Mallocs)/float64(tot.steps))
 		row.NsPerStep = append(row.NsPerStep, float64(tot.wall.Nanoseconds())/float64(tot.steps))
+		row.KernelNs = append(row.KernelNs, kernel.quietNs())
 		if rep == 0 || tot.steps < row.Steps {
 			row.Steps = tot.steps
 		}
@@ -223,7 +252,7 @@ func measure(name string, run func() (pass, error)) (Row, error) {
 	return row, nil
 }
 
-// wideCI reports whether r's median interval spans more than
+// wideCI reports whether r's scaled median interval spans more than
 // benchCIWidth of the median.
 func wideCI(r Row) bool {
 	ci := r.MedianCI()
@@ -335,17 +364,22 @@ func engineCases(scale int) []engineCase {
 		{
 			// The contended step of the greedy-hotspot benchmark: the
 			// first problem of its corpus, 1024 packets to 8 spots.
-			name: "butterfly(10)-hotspot/greedy",
-			build: func() (*workload.Problem, error) {
-				g, err := topo.Butterfly(10)
-				if err != nil {
-					return nil, err
-				}
-				return workload.HotSpot(g, rand.New(rand.NewSource(1)), 1024, 8)
-			},
+			name:  "butterfly(10)-hotspot/greedy",
+			build: hotspotProblem,
 			route: greedy,
 		},
 	}
+}
+
+// hotspotProblem is the first problem of the batch benchmarks' corpus:
+// 1024 packets from distinct sources to 8 top-level spots of
+// butterfly(10).
+func hotspotProblem() (*workload.Problem, error) {
+	g, err := topo.Butterfly(10)
+	if err != nil {
+		return nil, err
+	}
+	return workload.HotSpot(g, rand.New(rand.NewSource(1)), 1024, 8)
 }
 
 // runEngineSuite records the engine suite.
@@ -354,6 +388,9 @@ func runEngineSuite(d *Doc) error {
 		if err := runEngineCase(d, c); err != nil {
 			return err
 		}
+	}
+	if err := runFrameCase(d); err != nil {
+		return err
 	}
 	ens, err := measureEnsembleReuse(d.Scale)
 	if err != nil {
@@ -380,6 +417,62 @@ func runEngineCase(d *Doc, c engineCase) error {
 	row.Metrics["edges"] = float64(p.G.NumEdges())
 	row.Metrics["packets"] = float64(p.N())
 	row.Metrics["max_in_flight"] = float64(e.M.MaxInFlight)
+	d.Rows = append(d.Rows, row)
+	return nil
+}
+
+// countedFrame is the frame router with a count of the steps the engine
+// executes, which are the steps its EndStep sees.
+type countedFrame struct {
+	*core.Frame
+	n                 int // packets in the problem
+	executed, rampEnd int
+	rampDone          time.Time
+}
+
+func (c *countedFrame) EndStep(t int, e *sim.Engine) {
+	c.executed++
+	if c.rampEnd == 0 && e.M.Injected == c.n {
+		c.rampEnd, c.rampDone = c.executed, time.Now()
+	}
+	c.Frame.EndStep(t, e)
+}
+
+// runFrameCase measures the frame-batch benchmark's router on the first
+// problem of its corpus: core.Frame with DefaultPractical, gated at 0
+// allocs/step. Run fast-forwards over the steps with nothing in flight,
+// about 170k of a run's ~171k simulated steps, so the row's ns/step and
+// steps count the executed steps only (about 1,000 a run);
+// simulated_steps records the makespan. The ramp ends at the step of
+// the last injection.
+func runFrameCase(d *Doc) error {
+	const name = "butterfly(10)-hotspot/frame"
+	p, err := hotspotProblem()
+	if err != nil {
+		return fmt.Errorf("bench: %s: %w", name, err)
+	}
+	fr := &countedFrame{Frame: core.NewFrame(core.DefaultPractical(p.C, p.L(), p.N())), n: p.N()}
+	e := sim.NewEngine(p, fr, 1)
+	row, err := measure(name, func() (pass, error) {
+		e.Reset(1)
+		fr.executed, fr.rampEnd = 0, 0
+		start := time.Now()
+		_, done := e.Run(runBudget)
+		p := pass{steps: fr.executed, rampSteps: fr.rampEnd, wall: time.Since(start), ramp: fr.rampDone.Sub(start)}
+		if !done {
+			return pass{}, fmt.Errorf("run did not complete within %d steps", runBudget)
+		}
+		return p, nil
+	})
+	if err != nil {
+		return err
+	}
+	row.Gated = true
+	row.Metrics["nodes"] = float64(p.G.NumNodes())
+	row.Metrics["edges"] = float64(p.G.NumEdges())
+	row.Metrics["packets"] = float64(p.N())
+	row.Metrics["max_in_flight"] = float64(e.M.MaxInFlight)
+	row.Metrics["simulated_steps"] = float64(e.Now())
 	d.Rows = append(d.Rows, row)
 	return nil
 }
@@ -631,9 +724,11 @@ func CheckStrictAllocs(d *Doc) error {
 // bound of its current median interval (Row.MedianCI) exceeds the
 // baseline's median rep by more than tolerance (fractional; 0.10 =
 // 10%), so host noise that moves single reps by 30% does not trip it.
-// Rows on one side only are ignored (names scale with the suite's
-// scale). Documents of a different suite or scale compare nothing, with
-// a warning.
+// Both sides are compared as scaled reps (Row.Scaled), so a host that
+// runs slower through a whole recording does not trip it either; when
+// either side has no kernel times, both are compared raw. Rows on one
+// side only are ignored (names scale with the suite's scale). Documents
+// of a different suite or scale compare nothing, with a warning.
 func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
 	if baseline.Suite != current.Suite || baseline.Scale != current.Scale {
 		return []string{fmt.Sprintf("baseline %s scale %d != current %s scale %d; nothing compared",
@@ -648,10 +743,14 @@ func Compare(baseline, current *Doc, tolerance float64) ([]string, error) {
 		if !ok || len(b.NsPerStep) == 0 || len(r.NsPerStep) == 0 {
 			continue
 		}
-		old, cur := b.Median(), r.MedianCI()
+		bs, rs, basis := b.Scaled(), r.Scaled(), "host-scaled"
+		if !b.hasKernel() || !r.hasKernel() {
+			bs, rs, basis = b.NsPerStep, r.NsPerStep, "raw"
+		}
+		old, cur := stats.QuantileUnsorted(bs, 0.5), medianCI(rs)
 		if cur.Lo > old*(1+tolerance) {
-			return nil, fmt.Errorf("bench: regression on %s: median %.2f ns/step (95%% interval %.2f-%.2f) vs baseline median %.2f (+%.1f%%, tolerance %.0f%%)",
-				r.Name, cur.Estimate, cur.Lo, cur.Hi, old, 100*(cur.Lo/old-1), 100*tolerance)
+			return nil, fmt.Errorf("bench: regression on %s: %s median %.2f ns/step (95%% interval %.2f-%.2f) vs baseline median %.2f (+%.1f%%, tolerance %.0f%%)",
+				r.Name, basis, cur.Estimate, cur.Lo, cur.Hi, old, 100*(cur.Lo/old-1), 100*tolerance)
 		}
 	}
 	return nil, nil

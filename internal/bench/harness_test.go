@@ -36,6 +36,14 @@ func checkRows(t *testing.T, d *Doc) {
 				t.Errorf("%s: non-positive sample %g", r.Name, ns)
 			}
 		}
+		if len(r.KernelNs) != len(r.NsPerStep) {
+			t.Errorf("%s: %d kernel times for %d reps", r.Name, len(r.KernelNs), len(r.NsPerStep))
+		}
+		for _, k := range r.KernelNs {
+			if k <= 0 {
+				t.Errorf("%s: non-positive kernel time %g", r.Name, k)
+			}
+		}
 		if r.AllocsPerStep < 0 || r.AllocsPerStep > 1e6 {
 			t.Errorf("%s: allocs/step %g", r.Name, r.AllocsPerStep)
 		}
@@ -54,9 +62,10 @@ func TestEngineBenchQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkRows(t, d)
-	// Five gated topology rows and the ensemble row.
-	if len(d.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(d.Rows))
+	// Five gated topology rows, the gated frame row and the ensemble
+	// row.
+	if len(d.Rows) != 7 {
+		t.Fatalf("rows = %d, want 7", len(d.Rows))
 	}
 	gated := 0
 	for _, r := range d.Rows {
@@ -74,8 +83,8 @@ func TestEngineBenchQuick(t *testing.T) {
 			gated++
 		}
 	}
-	if gated != 5 {
-		t.Errorf("%d gated rows, want 5", gated)
+	if gated != 6 {
+		t.Errorf("%d gated rows, want 6", gated)
 	}
 	// The zero-alloc claim: a warmed, Reset-rewound engine must not
 	// allocate on the stepping path.
@@ -164,18 +173,25 @@ func suiteDocs() []*Doc {
 	}
 }
 
-// scaled copies d with every sample multiplied by f.
+// scaled copies d with every ns/step sample multiplied by f; kernel
+// times are kept.
 func scaled(d *Doc, f float64) *Doc {
 	c := *d
 	c.Rows = nil
 	for _, r := range d.Rows {
-		r.NsPerStep = append([]float64(nil), r.NsPerStep...)
-		for i := range r.NsPerStep {
-			r.NsPerStep[i] *= f
-		}
+		r.NsPerStep = scaledSamples(r.NsPerStep, f)
 		c.Rows = append(c.Rows, r)
 	}
 	return &c
+}
+
+// scaledSamples returns a copy of xs with every value multiplied by f.
+func scaledSamples(xs []float64, f float64) []float64 {
+	out := append([]float64(nil), xs...)
+	for i := range out {
+		out[i] *= f
+	}
+	return out
 }
 
 // TestCompareCommitted holds the committed engine recording to the
@@ -222,6 +238,35 @@ func TestCompare(t *testing.T) {
 				t.Errorf("cross-scale comparison: err %v, warnings %v; want none and one", err, w)
 			}
 		})
+	}
+	// Host-scaled reps: a recording made while the host ran 30% slower
+	// throughout, as its kernel times show, is not a regression; 15%
+	// slower at the baseline's host speed is.
+	for _, base := range suiteDocs() {
+		for i := range base.Rows {
+			for range base.Rows[i].NsPerStep {
+				base.Rows[i].KernelNs = append(base.Rows[i].KernelNs, kernelNominalNs)
+			}
+		}
+		slowHost := scaled(base, 1.3)
+		for i := range slowHost.Rows {
+			slowHost.Rows[i].KernelNs = scaledSamples(base.Rows[i].KernelNs, 1.3)
+		}
+		if _, err := Compare(base, slowHost, 0.10); err != nil {
+			t.Errorf("%s: a uniformly slower host tripped the scaled gate: %v", base.Suite, err)
+		}
+		if _, err := Compare(base, scaled(base, 1.15), 0.10); err == nil {
+			t.Errorf("%s: 15%% regression at an unchanged host speed did not trip the scaled gate", base.Suite)
+		}
+		// A side without kernel times compares raw: the slow host's
+		// reps then read as 30% slower.
+		raw := scaled(slowHost, 1)
+		for i := range raw.Rows {
+			raw.Rows[i].KernelNs = nil
+		}
+		if _, err := Compare(base, raw, 0.10); err == nil {
+			t.Errorf("%s: raw 30%% regression against a kernel-timed baseline did not trip the gate", base.Suite)
+		}
 	}
 	// Documents of different suites compare nothing, with one warning.
 	docs := suiteDocs()

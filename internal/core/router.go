@@ -103,16 +103,26 @@ type Frame struct {
 	// in which the engine asks for requests. Derived from the run seed
 	// at Init.
 	coinSeed uint64
+	// coinBelow is P.Q as a CoinBits threshold (sim.CoinThreshold).
+	coinBelow uint64
 
 	// assign, when non-nil, is the caller-supplied frontier-set
 	// assignment applied at Init instead of the random one.
 	assign []int32
 
-	// Per-packet algorithm state, indexed by PacketID.
+	// Per-packet algorithm state, indexed by PacketID. injPhase is the
+	// packet's injection phase, fixed at Init by its set draw.
 	set      []int32
+	injPhase []int32
 	st       []state
 	waitNode []graph.NodeID
 	waitEdge []graph.EdgeID
+
+	// srcLevel and dstLevel are the levels of each packet's endpoints,
+	// constants of the problem: read once per engine (whose problem is
+	// fixed), not on every run.
+	levelsOf           *sim.Engine
+	srcLevel, dstLevel []int32
 
 	// evExcited/evRestore stage this step's excite/restore events per
 	// packet, set in Request and flushed at the packet's outcome
@@ -195,12 +205,14 @@ func (r *Frame) Init(e *sim.Engine) {
 	r.g = e.G
 	r.rng = e.Rng
 	r.coinSeed = sim.StreamSeed(e.Seed(), frameCoinSalt)
+	r.coinBelow = sim.CoinThreshold(r.P.Q)
 	r.S = Stats{}
 	r.clk = r.sched.clockAt(0)
 	r.Events = nil
 	n := len(e.Packets)
 	if len(r.set) != n {
 		r.set = make([]int32, n)
+		r.injPhase = make([]int32, n)
 		r.st = make([]state, n)
 		r.waitNode = make([]graph.NodeID, n)
 		r.waitEdge = make([]graph.EdgeID, n)
@@ -210,6 +222,17 @@ func (r *Frame) Init(e *sim.Engine) {
 	if r.assign != nil && len(r.assign) != n {
 		panic(fmt.Sprintf("core: set assignment covers %d packets, problem has %d", len(r.assign), n))
 	}
+	if r.levelsOf != e {
+		r.levelsOf = e
+		r.srcLevel, r.dstLevel = make([]int32, n), make([]int32, n)
+		for i := range e.Packets {
+			// A zero-length path's packet is absorbed at Reset and
+			// never asks to be injected; its endpoints may be NoNode.
+			if p := &e.Packets[i]; len(p.Preselected) > 0 {
+				r.srcLevel[i], r.dstLevel[i] = int32(r.g.LevelOf(p.Src)), int32(r.g.LevelOf(p.Dst))
+			}
+		}
+	}
 	for i := range e.Packets {
 		if r.assign != nil {
 			r.set[i] = r.assign[i]
@@ -217,6 +240,7 @@ func (r *Frame) Init(e *sim.Engine) {
 			r.set[i] = int32(r.rng.Intn(r.P.NumSets))
 		}
 		e.Packets[i].Tag = r.set[i]
+		r.injPhase[i] = int32(r.sched.InjectionPhase(int(r.set[i]), int(r.srcLevel[i])))
 		r.st[i] = stateNormal
 		r.waitNode[i] = graph.NoNode
 		r.waitEdge[i] = graph.NoEdge
@@ -233,7 +257,7 @@ func (r *Frame) WantInject(t int, p *sim.Packet) bool {
 	if r.EagerInjection {
 		return true
 	}
-	return r.at(t).phase >= r.sched.InjectionPhase(int(r.set[p.ID]), r.g.LevelOf(p.Src))
+	return r.at(t).phase >= int(r.injPhase[p.ID])
 }
 
 // at returns step t's schedule position: the step clock when it is at
@@ -259,7 +283,7 @@ func (r *Frame) InjectStep(p *sim.Packet) int {
 	if r.EagerInjection {
 		return 0
 	}
-	return r.sched.PhaseStart(r.sched.InjectionPhase(int(r.set[p.ID]), r.g.LevelOf(p.Src)))
+	return r.sched.PhaseStart(int(r.injPhase[p.ID]))
 }
 
 // TargetNode computes the packet's target node for the given step
@@ -275,19 +299,55 @@ func (r *Frame) TargetNode(t int, p *sim.Packet) graph.NodeID {
 	return r.target(r.at(t), p)
 }
 
+// target is TargetNode at schedule position c.
 func (r *Frame) target(c clock, p *sim.Packet) graph.NodeID {
-	phase, round := c.phase, c.round
 	set := int(r.set[p.ID])
-	tl := r.sched.TargetLevel(set, phase, round)
-	if v, ok := r.g.PathContainsLevel(p.PathList, tl); ok && r.g.LevelOf(v) == tl {
+	if v, ok := r.pathNodeAt(p, r.sched.TargetLevel(set, c.phase, c.round)); ok {
 		return v
 	}
-	if f := r.sched.Frontier(set, phase); r.g.LevelOf(p.Dst) > f {
-		if v, ok := r.g.PathContainsLevel(p.PathList, f); ok && r.g.LevelOf(v) == f {
+	if f := r.sched.Frontier(set, c.phase); int(r.dstLevel[p.ID]) > f {
+		if v, ok := r.pathNodeAt(p, f); ok {
 			return v
 		}
 	}
 	return p.Dst
+}
+
+// pathNodeAt returns the node of p's path list at the given level. The
+// list's first edge leaves Cur, at the engine-kept Level, or — when its
+// head retraces a forward deflection — the node one level below, so the
+// list's start level costs no graph lookup. The node found is still
+// checked against its level: a list holding such a retrace past its
+// head is not level-monotone beyond it.
+func (r *Frame) pathNodeAt(p *sim.Packet, level int) (graph.NodeID, bool) {
+	start := int(p.Level)
+	if p.HeadDir == graph.Backward {
+		start--
+	}
+	v, ok := r.g.PathContainsLevel(p.PathList, start, level)
+	return v, ok && r.g.LevelOf(v) == level
+}
+
+// atTarget reports whether p stands at its target node (target(c, p) ==
+// p.Cur) without finding the target in the common case. An active
+// packet is never at its destination, and both path lookups return a
+// node at the level they ask for, so p can only be at its target when it
+// stands at the target level tl or at the frontier f. At tl the lookup
+// returns Cur itself: the list's node at the level it starts from, or
+// one above a backward head, is the node the head leaves. At f ≠ tl it
+// is at its target when the tl lookup fails and the frontier clamp
+// applies, whose lookup then returns Cur the same way.
+func (r *Frame) atTarget(c clock, p *sim.Packet) bool {
+	set, l := int(r.set[p.ID]), int(p.Level)
+	tl := r.sched.TargetLevel(set, c.phase, c.round)
+	if l == tl {
+		return true
+	}
+	if f := r.sched.Frontier(set, c.phase); l != f || int(r.dstLevel[p.ID]) <= f {
+		return false
+	}
+	_, ok := r.pathNodeAt(p, tl)
+	return !ok
 }
 
 // Request implements sim.Router.
@@ -297,24 +357,24 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 	// A packet's first request comes at its injection step; injection
 	// after the start of its scheduled phase is the paper's "extreme
 	// case" fallback, worth counting.
-	if p.InjectTime == t {
-		want := r.sched.InjectionPhase(int(r.set[id]), r.g.LevelOf(p.Src))
-		if t > r.sched.PhaseStart(want) {
-			r.S.LatePhaseInjections++
-		}
+	if p.InjectTime == t && t > r.sched.PhaseStart(int(r.injPhase[id])) {
+		r.S.LatePhaseInjections++
 	}
 	if r.st[id] == stateWait {
 		// Oscillate on the wait edge (Section 3, Wait state). The
-		// packet sits at one endpoint; move to the other.
-		e := r.waitEdge[id]
-		return sim.Request{Edge: e, Dir: r.g.DirectionFrom(e, p.Cur), Priority: prioWait}
+		// packet sits at one endpoint; move to the other. A waiting
+		// packet's last traversal is along its wait edge — it entered
+		// wait over it and every move since retraced it, while a
+		// deflection ends the wait and a fault stall moves nothing — so
+		// the reverse of its arrival leaves its node.
+		return sim.Request{Edge: r.waitEdge[id], Dir: p.ArrivalDir.Reverse(), Priority: prioWait}
 	}
 
 	// Normal packets attempt excitation each step with probability Q.
 	// The coin is a pure function of (seed, step, packet) — each packet
 	// still flips an independent Bernoulli(Q) per step, as Lemma 4.3's
 	// analysis requires, but no draw depends on any other packet's.
-	if r.st[id] == stateNormal && sim.CoinFloat(r.coinSeed, t, id) < r.P.Q {
+	if r.st[id] == stateNormal && sim.CoinBits(r.coinSeed, t, id) < r.coinBelow {
 		r.st[id] = stateExcited
 		r.S.Excitations++
 		if r.Events != nil {
@@ -324,7 +384,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 
 	// Reaching the target node begins the wait state, oscillating on
 	// the last traversed link.
-	if tgt := r.target(c, p); !r.DisableWait && p.Cur == tgt && p.ArrivalEdge != graph.NoEdge {
+	if !r.DisableWait && p.ArrivalEdge != graph.NoEdge && r.atTarget(c, p) {
 		if r.st[id] == stateExcited {
 			r.S.ExcitedSuccesses++
 			if r.Events != nil {
@@ -335,8 +395,7 @@ func (r *Frame) Request(t int, p *sim.Packet) sim.Request {
 		r.waitNode[id] = p.Cur
 		r.waitEdge[id] = p.ArrivalEdge
 		r.S.WaitEntries++
-		e := p.ArrivalEdge
-		return sim.Request{Edge: e, Dir: r.g.DirectionFrom(e, p.Cur), Priority: prioWait}
+		return sim.Request{Edge: p.ArrivalEdge, Dir: p.ArrivalDir.Reverse(), Priority: prioWait}
 	}
 
 	// Chase the current path toward the target. An empty path list
@@ -374,9 +433,6 @@ func (r *Frame) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, kind sim.Deflect
 	}
 	r.st[id] = stateNormal
 }
-
-// OnMove implements sim.Notifier.
-func (r *Frame) OnMove(int, *sim.Packet) {}
 
 // OnAbsorb implements sim.Notifier.
 func (r *Frame) OnAbsorb(t int, p *sim.Packet) {

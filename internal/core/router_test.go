@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"hotpotato/internal/faults"
+	"hotpotato/internal/graph"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/topo"
 	"hotpotato/internal/workload"
@@ -255,6 +257,133 @@ func TestFrameTargetNodeClamp(t *testing.T) {
 	// otherwise clamped to the frontier (level 5), never the dst (11).
 	if lvl > 5 {
 		t.Errorf("target level %d beyond frontier 5 (cur %d)", lvl, cur)
+	}
+}
+
+// TestFrameTargetRetracedHead checks the target of a packet whose path
+// list starts with the retrace of a forward deflection: it stands at w,
+// one level above its path's source s, and the head edge leads back
+// down to s. The list's start level is then one below the packet's, and
+// the list is level-monotone only up to w.
+func TestFrameTargetRetracedHead(t *testing.T) {
+	g, err := topo.Butterfly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.HotSpot(g, rand.New(rand.NewSource(4)), 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := NewFrame(Params{NumSets: 2, M: 4, W: 8, Q: 0.1})
+	eng := sim.NewEngine(p, router, 7)
+	// The packet with the longest path, so that the list runs on past w.
+	id := 0
+	for i := range eng.Packets {
+		if len(eng.Packets[i].Preselected) > len(eng.Packets[id].Preselected) {
+			id = i
+		}
+	}
+	pre := eng.Packets[id].Preselected
+	if len(pre) < 3 {
+		t.Fatalf("longest path has %d edges, want >= 3", len(pre))
+	}
+	s := g.PathSource(pre)
+	var e graph.EdgeID = graph.NoEdge
+	for _, ed := range g.Node(s).Up {
+		if ed != pre[0] {
+			e = ed
+		}
+	}
+	if e == graph.NoEdge {
+		t.Fatalf("source %d has no second up-edge", s)
+	}
+	w := g.Edge(e).To
+	pkt := sim.Packet{
+		ID: sim.PacketID(id), Cur: w, Dst: g.PathDest(pre), Src: s, Active: true,
+		Level: int32(g.LevelOf(w)), HeadDir: graph.Backward,
+		ArrivalEdge: e, ArrivalDir: graph.Forward,
+		PathList: append(graph.Path{e}, pre...),
+	}
+	sched, set := router.Schedule(), router.Set(pkt.ID)
+	// stepFor returns the first step whose round targets level l.
+	stepFor := func(l int) int {
+		for st := 0; st < 1<<20; st++ {
+			if sched.TargetLevel(set, sched.PhaseOf(st), sched.RoundOf(st)) == l {
+				return st
+			}
+		}
+		t.Fatalf("no step targets level %d", l)
+		return 0
+	}
+	for l, want := range map[int]graph.NodeID{g.LevelOf(s): s, g.LevelOf(w): w} {
+		if got := router.TargetNode(stepFor(l), &pkt); got != want {
+			t.Errorf("target at level %d = node %d, want %d", l, got, want)
+		}
+	}
+	// Past w the list retraces to s: no entry of it reaches w's level
+	// + 1, so the target falls back to the frontier clamp or the
+	// destination.
+	l := g.LevelOf(w) + 1
+	st := stepFor(l)
+	got := router.TargetNode(st, &pkt)
+	if f := sched.Frontier(set, sched.PhaseOf(st)); got != pkt.Dst && g.LevelOf(got) != f {
+		t.Errorf("target at level %d = node %d at level %d, neither the destination nor at frontier %d", l, got, g.LevelOf(got), f)
+	}
+}
+
+// TestFrameAtTargetMatchesTarget checks Request's wait test against the
+// target it stands for: after every step of plain and faulted runs,
+// atTarget at the next step's clock must equal TargetNode == Cur for
+// every active packet. Small frames make packets reach their targets
+// often, and the faults force unsafe deflections, whose retraces leave
+// path lists that are not level-monotone.
+func TestFrameAtTargetMatchesTarget(t *testing.T) {
+	g, err := topo.Butterfly(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := workload.HotSpot(g, rand.New(rand.NewSource(13)), 48, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sim golden matrix's faulted row: periodic flaps and a band of
+	// levels that goes down for a stretch.
+	campaign := faults.Overlay(
+		faults.Flap{Period: 24, Down: 3, Rate: 0.4},
+		faults.LevelBand{Lo: 0, Hi: 1 << 20, From: 10, To: 14},
+	)
+	var at, backHead, unsafe int
+	for _, faulted := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			router := NewFrame(Params{NumSets: 2, M: 4, W: 8, Q: 0.1})
+			eng := sim.NewEngine(p, router, seed)
+			if faulted {
+				eng.Faults = campaign.Model(p.G, seed)
+			}
+			eng.AddObserver(func(st int, e *sim.Engine) {
+				c := router.sched.clockAt(st + 1)
+				for _, id := range e.Active() {
+					pk := &e.Packets[id]
+					want := router.target(c, pk) == pk.Cur
+					if got := router.atTarget(c, pk); got != want {
+						t.Fatalf("faulted %v seed %d step %d packet %d: atTarget %v, target == Cur %v", faulted, seed, st+1, id, got, want)
+					}
+					if want {
+						at++
+					}
+					if pk.HeadDir == graph.Backward {
+						backHead++
+					}
+				}
+			})
+			if _, done := eng.Run(1 << 16); !done {
+				t.Fatalf("faulted %v seed %d: run did not finish", faulted, seed)
+			}
+			unsafe += eng.M.UnsafeDeflections()
+		}
+	}
+	if at == 0 || backHead == 0 || unsafe == 0 {
+		t.Errorf("checks at target %d, with a backward head %d, unsafe deflections %d: want all > 0", at, backHead, unsafe)
 	}
 }
 

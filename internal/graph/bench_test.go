@@ -72,7 +72,7 @@ func BenchmarkPathContainsLevel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := g.PathContainsLevel(p, 16); !ok {
+		if _, ok := g.PathContainsLevel(p, 0, 16); !ok {
 			b.Fatal("level lost")
 		}
 	}

@@ -231,23 +231,34 @@ func TestPathContainsLevel(t *testing.T) {
 	g := diamond(t)
 	p := Path{g.EdgeBetween(0, 2), g.EdgeBetween(2, 3)}
 	cases := []struct {
-		level int
-		node  NodeID
-		ok    bool
+		path         Path
+		start, level int
+		node         NodeID
+		ok           bool
 	}{
-		{0, 0, true},
-		{1, 2, true},
-		{2, 3, true},
-		{3, NoNode, false},
-		{-1, NoNode, false},
+		{p, 0, 0, 0, true},
+		{p, 0, 1, 2, true},
+		{p, 0, 2, 3, true},
+		{p, 0, 3, NoNode, false},
+		{p, 0, -1, NoNode, false},
+		// A suffix starts one level up.
+		{p[1:], 1, 0, NoNode, false},
+		{p[1:], 1, 1, 2, true},
+		{p[1:], 1, 2, 3, true},
+		{p[1:], 1, 3, NoNode, false},
 	}
 	for _, c := range cases {
-		n, ok := g.PathContainsLevel(p, c.level)
+		n, ok := g.PathContainsLevel(c.path, c.start, c.level)
 		if ok != c.ok || n != c.node {
-			t.Errorf("PathContainsLevel(level=%d) = (%d,%v), want (%d,%v)", c.level, n, ok, c.node, c.ok)
+			t.Errorf("PathContainsLevel(%v, start=%d, level=%d) = (%d,%v), want (%d,%v)",
+				c.path, c.start, c.level, n, ok, c.node, c.ok)
+		}
+		if ok && g.LevelOf(n) != c.level {
+			t.Errorf("PathContainsLevel(%v, start=%d, level=%d) = node %d at level %d",
+				c.path, c.start, c.level, n, g.LevelOf(n))
 		}
 	}
-	if _, ok := g.PathContainsLevel(nil, 0); ok {
+	if _, ok := g.PathContainsLevel(nil, 0, 0); ok {
 		t.Error("empty path should contain no level")
 	}
 }

@@ -52,23 +52,20 @@ func (g *Leveled) PathNodes(p Path) []NodeID {
 	return out
 }
 
-// PathContainsLevel reports whether path p, starting at node at some
-// level, passes through (or ends at) a node at the given level, and
-// returns that node. Because valid paths are level-monotone this is a
-// range check followed by an index.
-func (g *Leveled) PathContainsLevel(p Path, level int) (NodeID, bool) {
-	if len(p) == 0 {
+// PathContainsLevel reports whether path p, whose first edge leaves a
+// node at level start, passes through (or ends at) a node at the given
+// level, and returns that node. Because valid paths are level-monotone
+// this is a range check followed by an index. The caller supplies start
+// (a router knows the level its packet stands at), which spares the
+// dependent loads of the first edge's endpoint and that node's level.
+func (g *Leveled) PathContainsLevel(p Path, start, level int) (NodeID, bool) {
+	if len(p) == 0 || level < start || level > start+len(p) {
 		return NoNode, false
 	}
-	lo := int(g.nodeLevel[g.ends[p[0]][0]])
-	hi := lo + len(p)
-	if level < lo || level > hi {
-		return NoNode, false
-	}
-	if level == lo {
+	if level == start {
 		return g.ends[p[0]][0], true
 	}
-	return g.ends[p[level-lo-1]][1], true
+	return g.ends[p[level-start-1]][1], true
 }
 
 // Reachable computes the set of nodes from which dst can be reached via

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"hotpotato/internal/baselines"
 	"hotpotato/internal/graph"
 	"hotpotato/internal/sim"
 	"hotpotato/internal/topo"
@@ -15,10 +16,10 @@ import (
 // bookkeepingCheck verifies, after every step, what the engine keeps
 // without a census or a per-packet mirror: Window() and the probe
 // snapshot's per-level occupancy against a recount over every active
-// packet, and each active packet's HeadDir, PathList and arrival
-// traversal against a reference path list kept by the paper's rule (a
-// traversal of the head pops it, any other traversal prepends its
-// edge).
+// packet, each active packet's Level against its node's, and its
+// HeadDir, PathList and arrival traversal against a reference path list
+// kept by the paper's rule (a traversal of the head pops it, any other
+// traversal prepends its edge).
 type bookkeepingCheck struct {
 	tb   testing.TB
 	key  string
@@ -92,6 +93,8 @@ func (c *bookkeepingCheck) checkPacket(t int, p *sim.Packet) {
 	c.ref[p.ID], c.prev[p.ID] = ref, p.Cur
 	c.longest = max(c.longest, len(p.PathList))
 	switch {
+	case int(p.Level) != g.LevelOf(p.Cur):
+		c.tb.Fatalf("%s step %d: packet %d Level %d, node %d at level %d", c.key, t, p.ID, p.Level, p.Cur, g.LevelOf(p.Cur))
 	case !slices.Equal(p.PathList, ref):
 		c.tb.Fatalf("%s step %d: packet %d path list %v, reference %v", c.key, t, p.ID, p.PathList, ref)
 	case p.HeadDir != p.HeadDirection(g):
@@ -104,8 +107,10 @@ func (c *bookkeepingCheck) checkPacket(t int, p *sim.Packet) {
 }
 
 // TestStepBookkeepingMatchesRecount runs the golden matrix (greedy,
-// oldest and frame routers, plain and faulted) under the check.
+// oldest and frame routers, plain and faulted) under the check. The
+// faulted runs must stall packets, the one commit that moves nothing.
 func TestStepBookkeepingMatchesRecount(t *testing.T) {
+	stalls := 0
 	for pname, p := range matrixProblems(t) {
 		for rname, mk := range goldenRouters(p) {
 			seed := goldenSeeds[0]
@@ -120,6 +125,30 @@ func TestStepBookkeepingMatchesRecount(t *testing.T) {
 				newBookkeepingCheck(t, key, e)
 				if _, done := e.Run(100000); !done {
 					t.Fatalf("%s: run did not complete", key)
+				}
+				stalls += e.M.FaultStalls
+			}
+		}
+	}
+	if stalls == 0 {
+		t.Error("no faulted run stalled a packet")
+	}
+}
+
+// TestSFLevelMatchesRecount checks the store-and-forward engine's
+// Level bookkeeping after every step of the golden matrix's problems.
+func TestSFLevelMatchesRecount(t *testing.T) {
+	for pname, p := range matrixProblems(t) {
+		e := sim.NewSFEngine(p, baselines.NewFIFO(), goldenSeeds[0])
+		for !e.Done() {
+			if e.Now() > 100000 {
+				t.Fatalf("%s: run did not complete", pname)
+			}
+			e.Step()
+			for i := range e.Packets {
+				if pk := &e.Packets[i]; pk.Active && int(pk.Level) != p.G.LevelOf(pk.Cur) {
+					t.Fatalf("%s step %d: packet %d Level %d, node %d at level %d",
+						pname, e.Now()-1, pk.ID, pk.Level, pk.Cur, p.G.LevelOf(pk.Cur))
 				}
 			}
 		}

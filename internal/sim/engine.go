@@ -44,15 +44,21 @@ type Notifier interface {
 	// deflected along edge e (kind classifies the slot).
 	OnDeflect(t int, p *Packet, e graph.EdgeID, kind DeflectKind)
 
-	// OnMove tells the router that p's own request was granted.
-	OnMove(t int, p *Packet)
-
 	// OnAbsorb tells the router that p reached its destination.
 	OnAbsorb(t int, p *Packet)
 
 	// EndStep is called after every executed step commits, after the
 	// probe and the observers.
 	EndStep(t int, e *Engine)
+}
+
+// MoveNotifier is an optional Router extension that hears every granted
+// request: OnMove tells the router that p's own request was granted, after
+// the move commits. It is apart from Notifier because no router in the
+// repository acts on a grant, so the engine makes no call per move unless
+// a router (or a tracing wrapper) asks for one.
+type MoveNotifier interface {
+	OnMove(t int, p *Packet)
 }
 
 // InjectionPlanner is an optional Router extension. A router
@@ -158,7 +164,8 @@ type Engine struct {
 	Faults FaultModel
 
 	router    Router
-	notify    Notifier // router's Notifier, nil when it has none
+	notify    Notifier     // router's Notifier, nil when it has none
+	onMove    MoveNotifier // router's MoveNotifier, nil when it has none
 	observers []Observer
 	now       int
 	seed      int64
@@ -445,6 +452,7 @@ func NewEngine(p *workload.Problem, r Router, seed int64) *Engine {
 	e.pathLo = make([]int32, p.N())
 	e.pathHead = make([]int32, p.N())
 	e.notify, _ = r.(Notifier)
+	e.onMove, _ = r.(MoveNotifier)
 	e.Reset(seed)
 	return e
 }
@@ -571,7 +579,7 @@ func (e *Engine) Window() (lo, hi int) {
 	}
 	lo, hi = e.G.Depth(), 0
 	for _, pid := range e.active {
-		l := e.G.LevelOf(e.Packets[pid].Cur)
+		l := int(e.Packets[pid].Level)
 		lo, hi = min(lo, l), max(hi, l)
 	}
 	return lo, hi
@@ -791,6 +799,7 @@ func (e *Engine) Step() {
 			}
 			p.Active = true
 			p.Cur = p.Src
+			p.Level = int32(e.G.LevelOf(p.Src))
 			p.InjectTime = t
 			e.placePath(pid, p.Preselected)
 			p.ArrivalEdge = graph.NoEdge
@@ -820,6 +829,16 @@ func (e *Engine) Step() {
 		e.collectRequest(t, pid)
 	}
 	for _, v := range e.occupied {
+		// A lone occupant whose request the fault model let through
+		// wins it outright: the common case under sparse load, granted
+		// here without a call.
+		if e.atN[v] == 1 {
+			pid := e.atList[e.atOff[v]]
+			if s := e.reqSlot[pid]; s != blockedSlot {
+				e.moves[pid] = moveRec{epoch: e.epoch, slot: s}
+				continue
+			}
+		}
 		e.resolveNode(t, v)
 	}
 
@@ -836,7 +855,7 @@ func (e *Engine) Step() {
 	e.curTouched = e.curTouched[:0]
 	e.clearOccupancy()
 	e.occupied = e.occupied[:0]
-	keep := e.active[:0]
+	n := 0
 	for _, pid := range e.active {
 		mv := e.moves[pid]
 		if mv.epoch != e.epoch {
@@ -849,10 +868,11 @@ func (e *Engine) Step() {
 				continue // absorbed this step
 			}
 		}
-		keep = append(keep, pid)
+		e.active[n] = pid
+		n++
 		e.addAt(p.Cur, pid)
 	}
-	e.active = keep
+	e.active = e.active[:n]
 	e.prevFwdBits, e.curFwdBits = e.curFwdBits, e.prevFwdBits
 	e.prevTouched, e.curTouched = e.curTouched, e.prevTouched
 
@@ -909,21 +929,10 @@ func (e *Engine) collectRequest(t int, pid PacketID) {
 // largest counter-based arbitration key — a commutative rule, so any
 // enumeration order yields the same winner (each of k contenders wins
 // with probability 1/k; see rng.go). Keys are only computed when a slot
-// actually has two equal-priority contenders.
+// actually has two equal-priority contenders. Step grants a lone
+// occupant's unblocked request itself and calls this for the rest.
 func (e *Engine) resolveNode(t int, v graph.NodeID) {
 	occ := e.At(v)
-	if len(occ) == 1 {
-		// Overwhelmingly the common case under sparse load: one packet,
-		// no contention, its request granted unless fault-blocked.
-		pid := occ[0]
-		if s := e.reqSlot[pid]; s != blockedSlot {
-			e.moves[pid] = moveRec{epoch: e.epoch, slot: s}
-			return
-		}
-		e.usedBuf = e.usedBuf[:0]
-		e.deflectLosers(t, v, occ)
-		return
-	}
 	used := e.usedBuf[:0]
 	for i, pid := range occ {
 		s := e.reqSlot[pid]
@@ -1131,15 +1140,17 @@ func (e *Engine) applyMove(t int, p *Packet, s int32) {
 	p.ArrivalEdge = ed
 	p.ArrivalDir = dir
 	if dir == graph.Forward {
+		p.Level++
 		p.ForwardMoves++
 		bitSet(e.curFwdBits, int32(ed))
 		e.curTouched = append(e.curTouched, ed)
 	} else {
+		p.Level--
 		p.BackwardMoves++
 	}
 	e.M.Moves++
-	if e.notify != nil && s == e.reqSlot[pid] {
-		e.notify.OnMove(t, p)
+	if e.onMove != nil && s == e.reqSlot[pid] {
+		e.onMove.OnMove(t, p)
 	}
 	if p.Cur == p.Dst {
 		p.Active = false

@@ -448,8 +448,8 @@ func (r *recorder) OnDeflect(t int, p *sim.Packet, e graph.EdgeID, k sim.Deflect
 }
 func (r *recorder) OnMove(t int, p *sim.Packet) {
 	fmt.Fprintf(&r.log, "m %d %d %d\n", t, p.ID, p.Cur)
-	if r.notify != nil {
-		r.notify.OnMove(t, p)
+	if m, ok := r.inner.(sim.MoveNotifier); ok {
+		m.OnMove(t, p)
 	}
 }
 func (r *recorder) OnAbsorb(t int, p *sim.Packet) {

@@ -21,7 +21,6 @@ type spacedPlanner struct {
 }
 
 func (*spacedPlanner) OnDeflect(int, *sim.Packet, graph.EdgeID, sim.DeflectKind) {}
-func (*spacedPlanner) OnMove(int, *sim.Packet)                                   {}
 func (*spacedPlanner) OnAbsorb(int, *sim.Packet)                                 {}
 
 const idleGap = 100

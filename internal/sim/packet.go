@@ -66,6 +66,11 @@ type Packet struct {
 	// Tag is algorithm-owned scratch (the frame router stores the
 	// frontier-set index here).
 	Tag int32
+	// Level is the level of Cur, maintained by the engine (valid while
+	// Active): set at injection and moved by one per traversal, like
+	// HeadDir it spares routers and censuses a graph lookup per packet.
+	// It fills the 4-byte hole after Tag, so Packet stays 120 bytes.
+	Level int32
 
 	// InjectTime and AbsorbTime are the steps of injection/absorption,
 	// -1 until they happen.
@@ -79,11 +84,6 @@ type Packet struct {
 	Deflections   int
 	ForwardMoves  int
 	BackwardMoves int
-}
-
-// CurrentLevel returns the level of the packet's current node.
-func (p *Packet) CurrentLevel(g *graph.Leveled) int {
-	return g.LevelOf(p.Cur)
 }
 
 // HeadDirection returns the direction in which the head of the path

@@ -29,9 +29,6 @@ func tinyLine(t *testing.T) *graph.Leveled {
 func TestPacketAccessors(t *testing.T) {
 	g := tinyLine(t)
 	p := &Packet{Cur: 1, Dst: 3, PathList: []graph.EdgeID{1, 2}}
-	if p.CurrentLevel(g) != 1 {
-		t.Errorf("CurrentLevel = %d", p.CurrentLevel(g))
-	}
 	if p.HeadDirection(g) != graph.Forward {
 		t.Error("HeadDirection should be forward from From endpoint")
 	}

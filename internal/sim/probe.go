@@ -284,7 +284,7 @@ func (e *Engine) emitSnapshot(t int, excited int) {
 	}
 	lo, hi := len(occ), -1
 	for _, pid := range e.active {
-		l := e.G.LevelOf(e.Packets[pid].Cur)
+		l := int(e.Packets[pid].Level)
 		occ[l]++
 		lo, hi = min(lo, l), max(hi, l)
 	}

@@ -1,5 +1,7 @@
 package sim
 
+import "math"
+
 // Arbitration randomness is counter-based: every draw is a pure
 // function of (engine seed, step, slot, packet), with no sequential
 // generator state at all. The engine resolves an equal-priority slot
@@ -66,6 +68,19 @@ func arbDraw(h uint64, pid PacketID) uint64 {
 // depend on request iteration order. The 53 high bits of the mixed
 // counter form the mantissa, the standard uniform-double construction.
 func CoinFloat(stream uint64, t int, pid PacketID) float64 {
-	h := mix64(stream ^ (uint64(uint32(t)) | uint64(uint32(pid))<<32))
-	return float64(h>>11) / (1 << 53)
+	return float64(CoinBits(stream, t, pid)) / (1 << 53)
+}
+
+// CoinBits returns CoinFloat's 53 mantissa bits as an integer:
+// CoinFloat(stream, t, pid) < q exactly when CoinBits(stream, t, pid) <
+// CoinThreshold(q), a compare without an int-to-float conversion.
+func CoinBits(stream uint64, t int, pid PacketID) uint64 {
+	return mix64(stream^(uint64(uint32(t))|uint64(uint32(pid))<<32)) >> 11
+}
+
+// CoinThreshold returns ⌈q·2^53⌉ for q in [0, 1]: the least integer at
+// or above q·2^53, which float64 holds exactly, so an integer below it is
+// exactly an integer whose CoinFloat is below q.
+func CoinThreshold(q float64) uint64 {
+	return uint64(math.Ceil(q * (1 << 53)))
 }

@@ -56,6 +56,26 @@ func TestCoinFloatUniform(t *testing.T) {
 	}
 }
 
+// TestCoinThresholdMatchesFloat checks the integer coin against the
+// float one: CoinBits < CoinThreshold(q) exactly when CoinFloat < q, for
+// the frame router's q values, the ends of [0, 1], and q at and one ulp
+// either side of a drawn coin, where an off-by-one threshold would show.
+func TestCoinThresholdMatchesFloat(t *testing.T) {
+	stream := sim.StreamSeed(9, 0xF4A3C017)
+	for step := 0; step < 200; step++ {
+		for pid := sim.PacketID(0); pid < 50; pid++ {
+			u := sim.CoinFloat(stream, step, pid)
+			bits := sim.CoinBits(stream, step, pid)
+			for _, q := range []float64{0, 1, 0.5, 0.02707369065898643, 0.05, 0.1, 1 / math.E,
+				u, math.Nextafter(u, 0), math.Nextafter(u, 1)} {
+				if got, want := bits < sim.CoinThreshold(q), u < q; got != want {
+					t.Fatalf("step %d packet %d q %v: integer coin says %v, float coin %v < q says %v", step, pid, q, got, u, want)
+				}
+			}
+		}
+	}
+}
+
 // TestCoinFloatCrossStepIndependence checks that the same packet's
 // draws at consecutive steps are independent: the pair (u_t, u_{t+1})
 // binned on an 8x8 grid must be uniform, and the serial correlation

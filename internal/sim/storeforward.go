@@ -287,6 +287,7 @@ func (e *SFEngine) Step() {
 			}
 			p.Active = true
 			p.Cur = p.Src
+			p.Level = int32(e.G.LevelOf(p.Src))
 			p.InjectTime = t
 			p.PathList = append(p.PathList[:0], p.Preselected...)
 			e.enqueue(first, pid)
@@ -349,6 +350,7 @@ func (e *SFEngine) Step() {
 		n := copy(p.PathList, p.PathList[1:])
 		p.PathList = p.PathList[:n]
 		p.Cur = e.G.Edge(eid).To
+		p.Level++
 		p.ForwardMoves++
 		e.M.Moves++
 		if len(p.PathList) == 0 {
